@@ -118,7 +118,7 @@ class SparkProbe:
 
     # -- hygiene -----------------------------------------------------------
 
-    def collect_garbage(self, baseline_rdds: int, timeout_s: float = 3.0
+    def collect_garbage(self, baseline_rdds: int, timeout_s: float
                         ) -> tuple[int, int, bool]:
         """Python ``gc.collect`` and a JVM GC, then wait for Spark's
         ContextCleaner to drop unreferenced checkpoints until the block

@@ -1,6 +1,6 @@
 """Benchmark of the HOPE / HOPE+ Spark pipeline, measured from outside.
 
-    python3 hopebench/run.py --workload lastfm-asia-snem --seed 1 --seconds 10 --trace 0
+    python3 hopebench/run.py --workload dcsbm9k-snem --seed 1 --seconds 5 --trace 0
 
 Every call goes through the public entry point
 ``repro.tables.run_our_method``, from the pandas edge list to the label
@@ -14,23 +14,24 @@ A run
   2. starts Spark with the tests' session conf and the default JVM;
   3. makes WARMUP_CALLS untimed calls; a failed warm-up stops the run;
   4. with ``--trace 0``, makes timed calls until ``--seconds`` have passed
-     (at least MIN_CALLS) and prints the end-to-end metrics;
+     (at least one) and prints the end-to-end metrics;
      with ``--trace 1``, makes the same call once more under the layer
      tracer (``layers.py``), checks it against the last warm-up call,
      times the numpy reference on the same graph, and prints the
      per-layer metrics.
 
-Before every call, untimed: Python ``gc.collect``, a JVM GC, and a wait
-until the block manager is back at its baseline.  Every call's labels
-are checked (|U| integers in [0, k)); a call that raises or returns bad
-labels is a failed operation.  The run is marked incorrect if Spark jobs,
-tasks, shuffle bytes or labels differ between its calls, or if a check
-on the traced call fails.
+Before and after every call, untimed: Python ``gc.collect``, a JVM GC,
+and a wait until the block manager is back at its baseline.  Every
+call's labels are checked (|U| integers in [0, k)); a call that raises
+or returns bad labels is a failed operation.  The run is marked
+incorrect if Spark jobs, tasks, shuffle bytes or labels differ between
+its calls, if the block manager does not return to its baseline around
+a call, or if a check on the traced call fails.
 
 The last line of standard output is one JSON object with ``correct``,
-``attempted``, ``failed`` and ``metrics``.  Per-call diagnostics (JIT
-and GC time, codegen compiles, host steal, the wall-time trend, the
-environment) go to ``.hopebench/<workload>-seed<n>-trace<t>.json``.
+``attempted``, ``failed`` and ``metrics``.  Per-call diagnostics (wall,
+JIT and GC time, codegen compiles, host steal, by call index) and the
+environment go to ``.hopebench/<workload>-seed<n>-trace<t>.json``.
 """
 from __future__ import annotations
 
@@ -72,36 +73,38 @@ class Workload:
                             size_factor=self.size_factor)
 
 
-# Why these two (also in BENCHMARK.json).  Both keep the Spark job count
-# and the clustering quality steady across graph seeds, which the CORA and
-# MAG stand-ins do not: there SNEM's step count, k-means' iteration count
-# and Acc/NMI moved by 15-30 % between seeds, more than any regression
-# bound could absorb.
-# * lastfm-asia-snem: little data per job (|E| 47K), about 70 jobs, so
-#   Spark's fixed cost per job and codegen dominate; the workload where
-#   job-count cuts show.  It runs stage 1 and SNEM rounding, no k-means.
-# * dcsbm-hope: a weighted degree-corrected SBM with four clear clusters,
-#   the largest |E| and |U| with a narrow rank (r = 28), and the only one
-#   running pyspark.ml k-means and no rounding: load, the graph joins, the
-#   P·U_Q product and collect take their largest share here, and a
-#   rounding change must show no change.
+def _dcsbm(n_u: int, n_v: int, n_edges: int) -> dict:
+    """A weighted degree-corrected SBM with four clear clusters, on which
+    the Spark job count and Acc/NMI stay steady across graph seeds (on the
+    CORA and MAG stand-ins SNEM's step count, k-means' iteration count and
+    Acc/NMI moved by 15-30 % between seeds)."""
+    return dict(n_u=n_u, n_v=n_v, n_edges=n_edges, k=4, noise=0.3,
+                weighted=True, gamma=2.1, hub_fraction=0.05)
+
+
+# Both sides of the question of what bounds a call: Spark's fixed cost per
+# job, or the bytes and flops that grow with |E|.  Warm calls in one JVM
+# (4 vCPU, local[3]): HOPE 7-10 s at |E| 2.6K and about 14 s at 69K;
+# HOPE+ (SNEM) 10.9-12.4 s at 2.6K and 9.3-10.5 s at 9.4K.
+# * dcsbm9k-snem (|E| about 9.2K): its call is no faster on fewer edges, so
+#   fixed per-job cost bounds it; cuts in jobs, tasks and codegen show here
+#   and cuts in bytes do not.  It runs stage 1 and SNEM rounding.
+# * dcsbm69k-hope (|E| about 69K): about a third of a call grows with |E|,
+#   mostly the spgemm joins that svd.orthonormalize's checkpoints pull in
+#   (4x the shuffle bytes of dcsbm9k-snem).  It is the only one running
+#   pyspark.ml k-means, and a rounding change must show no change here.
 WORKLOADS = {
-    "lastfm-asia-snem": Workload("HOPE+ (SNEM)", "LastFM-Asia", 0.1),
-    "dcsbm-hope": Workload("HOPE", sbm=dict(
-        n_u=4000, n_v=1000, n_edges=120_000, k=4, noise=0.3,
-        weighted=True, gamma=2.1, hub_fraction=0.05)),
+    "dcsbm9k-snem": Workload("HOPE+ (SNEM)", sbm=_dcsbm(1000, 300, 12_000)),
+    "dcsbm69k-hope": Workload("HOPE", sbm=_dcsbm(3000, 750, 90_000)),
 }
 
-# run_our_method's default is 5 iterations; 2 keeps a call near 15 s, so
-# that a run fits its share of the benchmark's time.
+# run_our_method's default is 5 iterations; 2 keeps a warm call at 9-15 s,
+# so that a run with its warm-up calls fits its share of the benchmark's time.
 SVD_ITER = 2
-# The first call on a fresh JVM is about 1.6x slower (JIT, codegen).  Runs
-# differ mostly as a whole (host load), not between a run's later calls, so
-# one warm-up call is enough; each call's JIT and GC time are recorded.
-WARMUP_CALLS = 1
-# One timed call is enough for the determinism check, which compares it with
-# the warm-up call; more do not fit the time a run may take.
-MIN_CALLS = 1
+# JIT compile time per call falls 33 -> 12 -> 6.5 CPU-s over the first three
+# calls on a fresh JVM and then stays at 5-7 CPU-s (new codegen classes are
+# compiled on every call), so the timed call is the third.
+WARMUP_CALLS = 2
 DRIVER_MEMORY = "2g"
 # The tests' session conf (conftest.py).
 SESSION_CONF = {
@@ -109,7 +112,9 @@ SESSION_CONF = {
     "spark.sql.execution.arrow.pyspark.enabled": "true",
     "spark.sql.autoBroadcastJoinThreshold": "-1",
 }
+RETAINED = 100_000  # jobs and stages kept in Spark's status store
 SELF_TIME_TOLERANCE = 0.05  # layers' self_s must sum to the traced wall
+STORAGE_WAIT_S = 10.0  # how long a call's checkpoints may take to be freed
 
 
 def algorithm_seed(seed: int) -> int:
@@ -152,6 +157,10 @@ def start_spark(slots: int):
     os.environ["PYSPARK_SUBMIT_ARGS"] = (
         f"--master local[{slots}] --driver-memory {DRIVER_MEMORY} "
         "--conf spark.driver.host=127.0.0.1 --conf spark.ui.enabled=false "
+        # Keep every job and stage of a run in the status store, which the
+        # per-call counts are read from (the default keeps the last 1000).
+        f"--conf spark.ui.retainedJobs={RETAINED} "
+        f"--conf spark.ui.retainedStages={RETAINED} "
         f"--conf spark.sql.warehouse.dir={WORK / 'warehouse'} pyspark-shell")
     from pyspark.sql import SparkSession
 
@@ -215,7 +224,6 @@ class Call:
     shuffle_bytes: int = 0
     retained_rdds: int = 0
     retained_bytes: int = 0
-    storage_at_baseline: bool = True
     labels_sha: str = ""
     acc: float = 0.0
     nmi: float = 0.0
@@ -233,8 +241,19 @@ class Bench:
         self.sc = spark.sparkContext
         self.probe = SparkProbe(self.sc)
         self.baseline_rdds, self.baseline_bytes, _ = (
-            self.probe.collect_garbage(baseline_rdds=0))
+            self.probe.collect_garbage(0, STORAGE_WAIT_S))
         self.calls: list[Call] = []
+        self.problems: list[str] = []
+
+    def _hygiene(self, rec: "Call", when: str) -> tuple[int, int]:
+        n, nbytes, at_baseline = self.probe.collect_garbage(
+            self.baseline_rdds, STORAGE_WAIT_S)
+        if not at_baseline:
+            self.problems.append(
+                f"call {rec.index} ({rec.kind}): {n} RDDs ({nbytes} bytes) "
+                f"still stored {when} the call, baseline "
+                f"{self.baseline_rdds}")
+        return n, nbytes
 
     def _run(self):
         from repro.tables import run_our_method
@@ -248,7 +267,7 @@ class Bench:
 
         rec = Call(len(self.calls), kind)
         self.calls.append(rec)
-        self.probe.collect_garbage(self.baseline_rdds)
+        self._hygiene(rec, "before")
         group = f"call-{rec.index}"
         before = self.probe.counters()
         t0 = time.perf_counter()
@@ -269,8 +288,7 @@ class Bench:
         delta = self.probe.counters() - before
         rec.cpu_s, rec.jit_s, rec.gc_s = delta.cpu_s, delta.jit_s, delta.gc_s
         rec.steal_s, rec.codegen = delta.steal_s, delta.codegen
-        rec.retained_rdds, rec.retained_bytes, rec.storage_at_baseline = (
-            self.probe.collect_garbage(self.baseline_rdds))
+        rec.retained_rdds, rec.retained_bytes = self._hygiene(rec, "after")
         groups = {group} if tracer is None else tracer.groups()
         rec.stats = self.probe.job_stats(groups)
         tot = rec.stats.totals()
@@ -298,16 +316,6 @@ def same_work(calls: list[Call]) -> list[str]:
     return problems
 
 
-def trend_per_call(walls: list[float]) -> float | None:
-    """Least-squares slope of wall_s against the call index (s per call)."""
-    if len(walls) < 2:
-        return None
-    xm = (len(walls) - 1) / 2
-    ym = statistics.fmean(walls)
-    num = sum((i - xm) * (w - ym) for i, w in enumerate(walls))
-    return num / sum((i - xm) ** 2 for i in range(len(walls)))
-
-
 def end_to_end(bench: Bench, timed: list[Call], setup_s: float) -> dict:
     ok = [c for c in timed if c.ok]
     wall = statistics.median(c.wall_s for c in ok)
@@ -328,8 +336,11 @@ def end_to_end(bench: Bench, timed: list[Call], setup_s: float) -> dict:
 def traced_run(bench: Bench, untraced: Call, traced: Call, tracer
                ) -> tuple[dict, list[str], dict]:
     """Per-layer metrics of the traced call and the checks on it."""
+    from functools import partial
+    from unittest import mock
+
     from hopebench.layers import LAYER_METRICS, LAYERS, ROOT as ROOT_LAYER
-    from repro.core.reference import build_pq, hope_ref, hopeplus_ref
+    from repro.core import reference
     from repro.metrics import ari
 
     layers = tracer.report(traced.stats)
@@ -351,18 +362,23 @@ def traced_run(bench: Bench, untraced: Call, traced: Call, tracer
                         f"{SELF_TIME_TOLERANCE:.0%} of the traced wall "
                         f"{traced.wall_s:.3f} s")
 
-    # The numpy floor: build_pq and the reference pipeline on the same graph.
+    # The numpy floor: build_pq and the reference pipeline on the same graph,
+    # with as many subspace iterations as the Spark call (hope_ref and
+    # hopeplus_ref take hop_embedding_ref's default, which is more).
     ds = bench.ds
     e = ds.edges
+    embed = partial(reference.hop_embedding_ref, n_iter=SVD_ITER)
     t0 = time.perf_counter()
-    P, Q = build_pq(e["u"].to_numpy(), e["v"].to_numpy(),
-                    e["w"].to_numpy(), ds.n_u, ds.n_v)
-    if bench.wl.method == "HOPE":
-        ref = hope_ref(P, Q, ds.k, beta=5 * ds.k, seed=bench.seed)
-    else:
-        urt = "fnem" if "FNEM" in bench.wl.method else "snem"
-        ref = hopeplus_ref(P, Q, ds.k, beta=5 * ds.k, urt=urt,
-                           seed=bench.seed)
+    with mock.patch.object(reference, "hop_embedding_ref", embed):
+        P, Q = reference.build_pq(e["u"].to_numpy(), e["v"].to_numpy(),
+                                  e["w"].to_numpy(), ds.n_u, ds.n_v)
+        if bench.wl.method == "HOPE":
+            ref = reference.hope_ref(P, Q, ds.k, beta=5 * ds.k,
+                                     seed=bench.seed)
+        else:
+            urt = "fnem" if "FNEM" in bench.wl.method else "snem"
+            ref = reference.hopeplus_ref(P, Q, ds.k, beta=5 * ds.k, urt=urt,
+                                         seed=bench.seed)
     ref_wall = time.perf_counter() - t0
 
     metrics = {}
@@ -372,8 +388,8 @@ def traced_run(bench: Bench, untraced: Call, traced: Call, tracer
     # Zero at this commit, so it has no relative bound: a per-layer metric.
     metrics["retained_mb"] = (untraced.retained_bytes / 1e6, "MB")
     # Time the tracer spent at span boundaries (Py4J calls that set the job
-    # group and read the codegen counter).  The warm-up call is not a fair
-    # untraced twin for a wall-time difference: it runs on a cold JVM.
+    # group and read the codegen counter).  The last warm-up call is not a
+    # fair untraced twin for a wall-time difference: its JVM is less warm.
     metrics["trace.overhead_s"] = (tracer.overhead_s, "s")
     metrics["reference.wall_s"] = (ref_wall, "s")
     metrics["reference.ari"] = (ari(traced.labels, ref), "ratio")
@@ -442,8 +458,7 @@ def measure(spark, wl: Workload, args, slots: int) -> int:
     if args.trace == 0:
         timed: list[Call] = []
         t_start = time.perf_counter()
-        while (len(timed) < MIN_CALLS
-               or time.perf_counter() - t_start < args.seconds):
+        while not timed or time.perf_counter() - t_start < args.seconds:
             timed.append(bench.call("timed"))
         attempted, failed = len(timed), sum(not c.ok for c in timed)
         if failed == attempted:
@@ -462,8 +477,7 @@ def measure(spark, wl: Workload, args, slots: int) -> int:
             return 1
         metrics, problems, detail = traced_run(bench, untraced, traced,
                                                tracer)
-    detail["wall_trend_s_per_call"] = trend_per_call(
-        [c.wall_s for c in bench.calls if c.ok and c.kind != "traced"])
+    problems += bench.problems
     problems += same_work([c for c in bench.calls if c.kind != "traced"])
     problems += [f"call {c.index} ({c.kind}): {c.error}"
                  for c in bench.calls if c.error]
