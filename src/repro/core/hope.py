@@ -21,7 +21,7 @@ from pyspark.ml.clustering import KMeans
 from pyspark.ml.functions import array_to_vector
 from pyspark.sql import DataFrame
 
-from ..linalg import fill_missing, matmul_small, row_normalize, svd_topk
+from ..linalg import matmul_small, row_normalize, svd_topk
 from ..linalg.skinny import spgemm
 from .graph import p_edges, q_edges, u_ids, v_ids
 
@@ -36,14 +36,14 @@ def hop_embedding(edges: DataFrame, *, alpha: float = 0.3, beta: int = 32,
     vid = v_ids(edges)
     # Top-β left singular vectors of Q live on V (Q is |V| x |U|).
     U_q, sigma = svd_topk(q, vid, uid, beta, n_iter=n_iter, seed=seed)
-    beta_eff = len(sigma)
     # Lemma 3.1: eigenvalues of sum_λ (1-α) α^λ (QQ^T)^λ are (1-α)/(1-α σ²).
     lam = (1.0 - alpha) / (1.0 - alpha * np.minimum(sigma, 1.0) ** 2)
     p = p_edges(edges)
     x_hat = spgemm(p, U_q)  # P · U_Q, keyed by u
     x_hat = matmul_small(x_hat, np.diag(lam))
+    # Every u of the edge list has a row in P, and every column of P is a
+    # row of U_Q, so P · U_Q already has a row for every u.
     x = row_normalize(x_hat)
-    x = fill_missing(uid, x, beta_eff, id_col="u")
     return x.localCheckpoint(eager=True), sigma
 
 

@@ -13,20 +13,22 @@ Stage 2 — round L into a vertex-cluster-membership-indicator matrix C
 * FNEM: T = Φ Ψᵀ from the SVD of Lᵀ C (orthogonal Procrustes, Lemma 4.4)
 * SNEM: T = Lᵀ C (Lemma 4.5)
 
-The distributed layout: L stays a skinny DataFrame; C is represented by
-an assignment DataFrame ``(id, cluster)`` plus the implicit 1/sqrt(|C_j|)
-column scaling.  Each iteration needs one k x k aggregate (Lᵀ C), one
-broadcast map (argmax of the rows of L·T), and one count of changed
-labels — all O(|U|·k) dataflow, O(k²) driver state.
+The distributed layout: L stays a skinny DataFrame; C is implicit in
+the argmax of the rows of L·T plus the 1/sqrt(|C_j|) column scaling.
+Each iteration is one fused pass over L on the shared partition fold
+(``linalg.fold_partitions``): with T broadcast, every partition assigns
+its rows to argmax_j (L T)_{i,j} and emits its partial Lᵀ C sums and
+cluster sizes — O(|U|·k) dataflow, no shuffle, O(k²) driver state.  The
+seeding (Lines 6-10 of Alg. 2) is the same pass with T = I; only the
+final assignment ``(id, cluster)`` is left as a DataFrame.
 """
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyspark.sql.functions as F
 from pyspark.sql import DataFrame
 
-from ..linalg import gram, matmul_small
+from ..linalg import fold_partitions, gram, matmul_small
 from ..linalg.skinny import colwise_maxabs_value
 from .hope import hop_embedding
 
@@ -46,63 +48,48 @@ def truncated_svd_of_skinny(x: DataFrame, beta: int, k: int
     w, V = np.linalg.eigh((G + G.T) / 2)
     order = np.argsort(w)[::-1][:k]
     s = np.sqrt(np.maximum(w[order], 1e-300))
-    L = matmul_small(x, V[:, order] / s[None, :]).localCheckpoint(eager=True)
-    flip = np.sign(colwise_maxabs_value(L, k))
+    B = V[:, order] / s[None, :]
+    flip = np.sign(colwise_maxabs_value(matmul_small(x, B), k))
     flip[flip == 0] = 1.0
-    if (flip < 0).any():
-        L = matmul_small(L, np.diag(flip)).localCheckpoint(eager=True)
-    return L, s
+    return matmul_small(x, B * flip[None, :]).localCheckpoint(eager=True), s
 
 
-def _argmax_assign(l_df: DataFrame, t: np.ndarray | None = None) -> DataFrame:
-    """(id, cluster) with cluster = argmax_j (L T)_{i,j} (T=I if None).
+def _argmax_assign(l_df: DataFrame, t: np.ndarray) -> DataFrame:
+    """(id, cluster) with cluster = argmax_j (L T)_{i,j}.
 
     `array_position(vec, array_max(vec))` is 1-based; ties resolve to the
     first maximal column, matching numpy argmax.
     """
-    m = l_df if t is None else matmul_small(l_df, t)
-    return m.select(
+    return matmul_small(l_df, t).select(
         "id",
         (F.expr("array_position(vec, array_max(vec))").cast("int") - 1
          ).alias("cluster"),
     )
 
 
-def _rounding_step(l_df: DataFrame, t: np.ndarray | None, k: int
+def _rounding_step(l_df: DataFrame, t: np.ndarray, k: int
                    ) -> tuple[np.ndarray, np.ndarray]:
     """One fused pass over L: assign every row to argmax_j (L T)_{i,j}
-    (T = I when None, i.e. the greedy seeding), and return the raw
-    per-cluster L-row sums S (k x k, column j = Σ_{i∈C_j} L_i) together
-    with the cluster sizes.
+    (T = I is the greedy seeding), and return the raw per-cluster L-row
+    sums S (k x k, column j = Σ_{i∈C_j} L_i) together with the cluster
+    sizes.
 
     This is the whole per-iteration dataflow of Algorithm 3 as a single
-    narrow mapInPandas job (no shuffle): T is k x k and broadcast, each
-    partition emits its partial S and counts, the driver reduces them.
+    narrow job on the partition fold (no shuffle): T is k x k and
+    broadcast, each partition accumulates S in rows 0..k-1 and the sizes
+    in row k of a (k+1) x k partial, the driver sums the partials.
     """
-    spark = l_df.sparkSession
-    bc = spark.sparkContext.broadcast(
-        None if t is None else np.asarray(t, dtype=np.float64))
+    bc = l_df.sparkSession.sparkContext.broadcast(
+        np.asarray(t, dtype=np.float64))
 
-    def partial(batches):
-        S = np.zeros((k, k))
-        cnt = np.zeros(k)
-        seen = False
-        for pdf in batches:
-            if len(pdf):
-                L = np.vstack(pdf["vec"].to_numpy())
-                M = L if bc.value is None else L @ bc.value
-                cl = M.argmax(axis=1)
-                np.add.at(S.T, cl, L)   # S[:, j] += L rows with cluster j
-                cnt += np.bincount(cl, minlength=k)
-                seen = True
-        if seen:
-            yield pd.DataFrame({"s": [np.concatenate([S.ravel(), cnt])]})
+    def fold(acc, L):
+        cl = (L @ bc.value).argmax(axis=1)
+        np.add.at(acc[:k].T, cl, L)   # S[:, j] += L rows with cluster j
+        acc[k] += np.bincount(cl, minlength=k)
+        return acc
 
-    parts = l_df.mapInPandas(partial, "s array<double>").toPandas()
-    if len(parts) == 0:
-        return np.zeros((k, k)), np.zeros(k)
-    tot = np.sum(np.vstack(parts["s"].to_numpy()), axis=0)
-    return tot[: k * k].reshape(k, k), tot[k * k:]
+    tot = fold_partitions(l_df, fold, (k + 1, k)).sum(axis=0)
+    return tot[:k], tot[k]
 
 
 def _lt_c_from_raw(s_raw: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -125,24 +112,28 @@ def hopeplus(edges: DataFrame, k: int, *, alpha: float = 0.3,
              beta: int | None = None, urt: str = "snem", t_max: int = 50,
              seed: int = 42, svd_iter: int = 6) -> DataFrame:
     """HOPE+ (Algorithm 2).  ``urt`` selects the rounding rule
-    ('fnem' | 'snem').  Returns ``(id, cluster)`` over the u ids."""
+    ('fnem' | 'snem').  Returns ``(id, cluster)`` over the u ids.  Raises
+    ``ValueError`` when k exceeds the embedding rank min(beta, |U|)."""
     if urt not in ("fnem", "snem"):
         raise ValueError(f"urt must be 'fnem' or 'snem', got {urt!r}")
     beta = beta or 5 * k
-    x, _ = hop_embedding(edges, alpha=alpha, beta=beta, seed=seed,
-                         n_iter=svd_iter)
-    beta_eff = len(x.select("vec").head()["vec"])
-    l_df, _ = truncated_svd_of_skinny(x, beta_eff, k)
+    x, sigma = hop_embedding(edges, alpha=alpha, beta=beta, seed=seed,
+                             n_iter=svd_iter)
+    if k > len(sigma):
+        raise ValueError(
+            f"k={k} exceeds the embedding rank {len(sigma)} "
+            f"(min of beta={beta} and |U|): stage 1 needs k <= rank")
+    l_df, _ = truncated_svd_of_skinny(x, len(sigma), k)
 
     # Stage 2 (Alg. 3).  Each iteration is one narrow Spark pass that
-    # both applies the current rotation T (greedy seeding when T = None)
+    # both applies the current rotation T (greedy seeding when T = I)
     # and aggregates the statistics for the next T.  Convergence: C is a
     # deterministic function of T, and T of (S, sizes), so if the
     # aggregated (S, sizes) repeats, C has converged (or entered a
     # 2-cycle of boundary vertices — SNEM can oscillate forever on a
     # handful of rows, at which point iterating has no metric effect).
     update = fnem_update if urt == "fnem" else snem_update
-    t: np.ndarray | None = None  # greedy seeding first
+    t = np.eye(k)  # greedy seeding first: L·I is exactly L
     history: list[tuple[np.ndarray, np.ndarray]] = []
     for _ in range(t_max + 1):
         s_raw, sizes = _rounding_step(l_df, t, k)

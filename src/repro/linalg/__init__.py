@@ -1,7 +1,7 @@
 """Distributed skinny-matrix linear algebra over Spark DataFrames."""
 from .skinny import (
-    cross_gram,
     fill_missing,
+    fold_partitions,
     gram,
     matmul_small,
     orthonormalize,
@@ -12,8 +12,8 @@ from .skinny import (
 )
 
 __all__ = [
-    "cross_gram",
     "fill_missing",
+    "fold_partitions",
     "gram",
     "matmul_small",
     "orthonormalize",

@@ -7,9 +7,13 @@ edge-list DataFrame ``(r bigint, c bigint, v double)``.  These two shapes
 are all the HOPE/HOPE+ pipeline needs:
 
 * ``spgemm``       — sparse x skinny product (join + scale + Summarizer.sum)
-* ``gram``         — M^T M as a small driver-side numpy array (mapInPandas
-                     partial sums, reduced on the driver)
-* ``matmul_small`` — skinny x broadcast small dense matrix
+* ``fold_partitions`` — the one reduce kernel: stack each partition's rows
+                     into a dense block, fold the blocks into a fixed-size
+                     numpy accumulator, return the per-partition partials
+                     to the driver.  ``gram`` (M^T M), ``colwise_maxabs_value``
+                     and the HOPE+ rounding step are folds over it.
+* ``matmul_small`` — skinny x broadcast small dense matrix (the map kernel,
+                     on the same row stacking)
 * ``orthonormalize`` — CholeskyQR2 (two rounds of Gram + R^-1 for stability)
 * ``svd_topk``     — randomized subspace-iteration truncated SVD of a
                      sparse matrix, returning distributed singular vectors
@@ -19,16 +23,24 @@ to the paper's billion-edge regime on a real cluster.
 """
 from __future__ import annotations
 
+import sys
+from functools import reduce
+
 import numpy as np
 import pandas as pd
 import pyspark.sql.functions as F
+from pyspark import cloudpickle
 from pyspark.ml.functions import array_to_vector, vector_to_array
 from pyspark.ml.stat import Summarizer
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
+
+# The partition kernels below call this module's helpers on the Python
+# workers; ship them by value so a worker need not be able to import repro.
+cloudpickle.register_pickle_by_value(sys.modules[__name__])
 
 
-def random_skinny(spark: SparkSession, ids: DataFrame, r: int, *,
-                  seed: int = 42, id_col: str = "id") -> DataFrame:
+def random_skinny(ids: DataFrame, r: int, *, seed: int = 42,
+                  id_col: str = "id") -> DataFrame:
     """Deterministic pseudo-random skinny matrix (uniform in [-1, 1]) with
     one row per id in ``ids`` — the range-finder start block for the SVD.
 
@@ -46,18 +58,17 @@ def random_skinny(spark: SparkSession, ids: DataFrame, r: int, *,
     )
 
 
-def spgemm(edges: DataFrame, skinny: DataFrame, *, row: str = "r",
-           col: str = "c", val: str = "v") -> DataFrame:
-    """Y = A S: sparse ``edges`` (rows ``row``/``col``/``val``) times a
-    skinny matrix keyed by ``col``.  Returns a skinny matrix keyed by the
-    ``row`` ids that have at least one edge (all-zero rows are dropped —
-    callers re-attach them with :func:`fill_missing` when needed)."""
+def spgemm(edges: DataFrame, skinny: DataFrame) -> DataFrame:
+    """Y = A S: sparse ``edges`` ``(r, c, v)`` times a skinny matrix keyed
+    by ``c``.  Returns a skinny matrix keyed by the ``r`` ids that have at
+    least one edge (all-zero rows are dropped — callers re-attach them
+    with :func:`fill_missing` when needed)."""
     scaled = (
-        edges.join(skinny.withColumnRenamed("id", col), on=col)
+        edges.join(skinny.withColumnRenamed("id", "c"), on="c")
         .select(
-            F.col(row).alias("id"),
+            F.col("r").alias("id"),
             array_to_vector(
-                F.transform("vec", lambda x: x * F.col(val))
+                F.transform("vec", lambda x: x * F.col("v"))
             ).alias("sv"),
         )
     )
@@ -80,74 +91,52 @@ def fill_missing(ids: DataFrame, skinny: DataFrame, r: int,
     )
 
 
+def _rows(pdf: pd.DataFrame) -> np.ndarray:
+    """The ``vec`` rows of one Arrow batch stacked into a dense block."""
+    return np.vstack(pdf["vec"].to_numpy())
+
+
+def fold_partitions(skinny: DataFrame, fold, shape: tuple[int, ...]
+                    ) -> np.ndarray:
+    """Per-partition partials of ``acc = fold(acc, block)`` over the row
+    blocks of a skinny matrix, in partition order.
+
+    Each partition starts from ``np.zeros(shape)`` and folds its non-empty
+    batches in order; a partition with no rows yields no partial.  The
+    result has shape ``(n_partials, *shape)``, so ``.sum(axis=0)`` adds
+    within each partition first and then across partitions in order.
+    """
+    def partial(batches):
+        acc, seen = np.zeros(shape), False
+        for pdf in batches:
+            if len(pdf):
+                acc, seen = fold(acc, _rows(pdf)), True
+        if seen:
+            yield pd.DataFrame({"p": [acc.ravel()]})
+
+    parts = skinny.mapInPandas(partial, "p array<double>").toPandas()
+    return np.array(parts["p"].tolist(), dtype=np.float64).reshape(
+        len(parts), *shape)
+
+
 def gram(skinny: DataFrame, r: int) -> np.ndarray:
-    """G = M^T M in R^{r x r}: per-partition partial Grams via mapInPandas,
-    summed on the driver."""
-    def partial(batches):
-        total = np.zeros((r, r))
-        seen = False
-        for pdf in batches:
-            if len(pdf):
-                M = np.vstack(pdf["vec"].to_numpy())
-                total += M.T @ M
-                seen = True
-        if seen:
-            yield pd.DataFrame({"g": [total.ravel()]})
-
-    parts = skinny.mapInPandas(partial, "g array<double>").toPandas()
-    if len(parts) == 0:
-        return np.zeros((r, r))
-    return np.sum(np.vstack(parts["g"].to_numpy()), axis=0).reshape(r, r)
+    """G = M^T M in R^{r x r}, summed on the driver."""
+    return fold_partitions(skinny, lambda g, M: g + M.T @ M, (r, r)).sum(axis=0)
 
 
-def cross_gram(a: DataFrame, b: DataFrame, ra: int, rb: int) -> np.ndarray:
-    """G = A^T B in R^{ra x rb} for two skinny matrices on the same ids."""
-    joined = a.join(
-        b.withColumnRenamed("vec", "vec_b"), on="id"
-    ).select("vec", "vec_b")
-
-    def partial(batches):
-        total = np.zeros((ra, rb))
-        seen = False
-        for pdf in batches:
-            if len(pdf):
-                A = np.vstack(pdf["vec"].to_numpy())
-                B = np.vstack(pdf["vec_b"].to_numpy())
-                total += A.T @ B
-                seen = True
-        if seen:
-            yield pd.DataFrame({"g": [total.ravel()]})
-
-    parts = joined.mapInPandas(partial, "g array<double>").toPandas()
-    if len(parts) == 0:
-        return np.zeros((ra, rb))
-    return np.sum(np.vstack(parts["g"].to_numpy()), axis=0).reshape(ra, rb)
+def _take_maxabs(best: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """``best`` with each entry replaced by the largest-magnitude entry of
+    that column of ``M`` when it is strictly larger in magnitude."""
+    cand = M[np.abs(M).argmax(axis=0), np.arange(M.shape[1])]
+    return np.where(np.abs(cand) > np.abs(best), cand, best)
 
 
 def colwise_maxabs_value(skinny: DataFrame, r: int) -> np.ndarray:
     """Per column, the signed value of the entry with the largest absolute
     value — used to fix the sign indeterminacy of computed eigenvectors
     (flip each column so its dominant entry is positive)."""
-    def partial(batches):
-        best = np.zeros(r)
-        seen = False
-        for pdf in batches:
-            if len(pdf):
-                M = np.vstack(pdf["vec"].to_numpy())
-                idx = np.abs(M).argmax(axis=0)
-                cand = M[idx, np.arange(M.shape[1])]
-                take = np.abs(cand) > np.abs(best)
-                best[take] = cand[take]
-                seen = True
-        if seen:
-            yield pd.DataFrame({"g": [best]})
-
-    parts = skinny.mapInPandas(partial, "g array<double>").toPandas()
-    if len(parts) == 0:
-        return np.zeros(r)
-    P = np.vstack(parts["g"].to_numpy())
-    idx = np.abs(P).argmax(axis=0)
-    return P[idx, np.arange(r)]
+    parts = fold_partitions(skinny, _take_maxabs, (r,))
+    return reduce(_take_maxabs, parts[:, None], np.zeros(r))
 
 
 def matmul_small(skinny: DataFrame, small: np.ndarray) -> DataFrame:
@@ -156,11 +145,10 @@ def matmul_small(skinny: DataFrame, small: np.ndarray) -> DataFrame:
     bc = spark.sparkContext.broadcast(np.asarray(small, dtype=np.float64))
 
     def mult(batches):
-        S = bc.value
         for pdf in batches:
             if len(pdf):
-                M = np.vstack(pdf["vec"].to_numpy()) @ S
-                yield pd.DataFrame({"id": pdf["id"], "vec": list(M)})
+                yield pd.DataFrame({"id": pdf["id"],
+                                    "vec": list(_rows(pdf) @ bc.value)})
 
     return skinny.mapInPandas(mult, "id bigint, vec array<double>")
 
@@ -202,41 +190,35 @@ def orthonormalize(skinny: DataFrame, r: int, *, rounds: int = 2) -> DataFrame:
 
 
 def svd_topk(edges: DataFrame, row_ids: DataFrame, col_ids: DataFrame,
-             rank: int, *, row: str = "r", col: str = "c", val: str = "v",
-             n_iter: int = 6, oversample: int = 8, seed: int = 42,
-             ) -> tuple[DataFrame, np.ndarray]:
+             rank: int, *, n_iter: int = 6, oversample: int = 8,
+             seed: int = 42) -> tuple[DataFrame, np.ndarray]:
     """Top-``rank`` left singular vectors and singular values of a sparse
-    matrix A given as an edge list.
+    matrix A given as an edge list ``(r, c, v)``.
 
     Randomized subspace iteration on A A^T: Y <- orth(A (A^T Y)), then
     Rayleigh–Ritz via the Gram of Z = A^T Y.  Returns ``(U, s)`` where U
-    is a skinny DataFrame on ``row_ids`` (zero rows for isolated ids) and
-    ``s`` the singular values (descending).
+    is a lazy skinny DataFrame on ``row_ids`` (zero rows for isolated ids)
+    and ``s`` the singular values (descending).
     """
     r = rank + oversample
-    edges = edges.select(row, col, val).localCheckpoint(eager=True)
+    edges = edges.select("r", "c", "v").localCheckpoint(eager=True)
     edges_t = edges.select(
-        F.col(col).alias(row), F.col(row).alias(col), F.col(val).alias(val)
+        F.col("c").alias("r"), F.col("r").alias("c"), "v"
     ).localCheckpoint(eager=True)
     id_col = row_ids.columns[0]
     n_cols_r = col_ids.count()
     r = min(r, n_cols_r)  # cannot exceed the small dimension
     rank = min(rank, r)
 
-    Y = orthonormalize(
-        random_skinny(edges.sparkSession, row_ids, r, seed=seed, id_col=id_col), r
-    ).localCheckpoint(eager=True)
+    Y = orthonormalize(random_skinny(row_ids, r, seed=seed, id_col=id_col), r)
     for it in range(n_iter):
-        Z = spgemm(edges_t, Y, row=row, col=col, val=val)
-        Y = spgemm(edges, Z, row=row, col=col, val=val)
+        Y = spgemm(edges, spgemm(edges_t, Y))
         # One CholeskyQR round mid-loop (the next iteration corrects any
         # residual non-orthogonality), two on the last pass for accuracy.
         Y = orthonormalize(Y, r, rounds=2 if it == n_iter - 1 else 1)
-    Z = spgemm(edges_t, Y, row=row, col=col, val=val)
-    M = gram(Z, r)  # = Y^T A A^T Y, PSD
+    M = gram(spgemm(edges_t, Y), r)  # = Y^T A A^T Y, PSD
     w, W = np.linalg.eigh((M + M.T) / 2)
     order = np.argsort(w)[::-1][:rank]
     s = np.sqrt(np.maximum(w[order], 0.0))
     U = matmul_small(Y, W[:, order])
-    U = fill_missing(row_ids, U, rank, id_col=id_col)
-    return U.localCheckpoint(eager=True), s
+    return fill_missing(row_ids, U, rank, id_col=id_col), s

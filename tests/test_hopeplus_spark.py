@@ -5,7 +5,7 @@ import pandas as pd
 import pytest
 
 from repro.core.hope import hop_embedding
-from repro.core.hopeplus import hopeplus, truncated_svd_of_skinny
+from repro.core.hopeplus import _rounding_step, hopeplus, truncated_svd_of_skinny
 from repro.core.reference import build_pq, hopeplus_ref
 from repro.metrics import accuracy, nmi
 from repro.synth_data import bipartite_sbm
@@ -43,6 +43,27 @@ class TestStage1:
         assert M[:, 0].sum() > 0
 
 
+class TestRoundingStep:
+    @pytest.mark.parametrize("rotate", [False, True])
+    def test_matches_numpy_argmax_sums(self, spark, rotate):
+        # 50 rows dealt round-robin over 64 partitions, so some partitions
+        # are empty.  Entries are multiples of 1/8, so every product and
+        # sum is exact and the partition-order sums must equal numpy's
+        # exactly.
+        rng = np.random.default_rng(12)
+        k = 4
+        L = rng.integers(-8, 9, (50, k)) / 8
+        T = rng.integers(-8, 9, (k, k)) / 8 if rotate else np.eye(k)
+        l_df = spark.createDataFrame(
+            pd.DataFrame({"id": np.arange(len(L)), "vec": list(L)})
+        ).coalesce(1).repartition(64)
+        S, sizes = _rounding_step(l_df, T, k)
+        cl = (L @ T).argmax(axis=1)
+        S_np = np.stack([L[cl == j].sum(axis=0) for j in range(k)], axis=1)
+        np.testing.assert_array_equal(S, S_np)
+        np.testing.assert_array_equal(sizes, np.bincount(cl, minlength=k))
+
+
 class TestHopePlusEndToEnd:
     @pytest.mark.parametrize("urt", ["snem", "fnem"])
     def test_recovers_planted_clusters(self, spark, planted, urt):
@@ -55,6 +76,29 @@ class TestHopePlusEndToEnd:
         ds, edges = planted
         with pytest.raises(ValueError):
             hopeplus(edges, ds.k, urt="nope")
+
+    def test_k_above_embedding_rank_raises(self, spark):
+        ds = bipartite_sbm(n_u=20, n_v=15, n_edges=120, k=2, noise=0.1,
+                           seed=4)
+        with pytest.raises(ValueError, match=r"k=25 exceeds the embedding "
+                                             r"rank \d+"):
+            hopeplus(ds.to_spark(spark), 25, seed=1, svd_iter=1)
+
+    def test_labels_independent_of_shuffle_partitions(self, spark, planted):
+        ds, edges = planted
+        key = "spark.sql.shuffle.partitions"
+        before = spark.conf.get(key)
+        labels = {}
+        try:
+            for n in ("64", "7"):
+                spark.conf.set(key, n)
+                for urt in ("snem", "fnem"):
+                    assign = hopeplus(edges, ds.k, beta=12, urt=urt, seed=1)
+                    labels[urt, n] = labels_from_assignment(assign, ds.n_u)
+        finally:
+            spark.conf.set(key, before)
+        for urt in ("snem", "fnem"):
+            np.testing.assert_array_equal(labels[urt, "64"], labels[urt, "7"])
 
     def test_output_is_valid_vcmi_assignment(self, spark, planted):
         # Every u gets exactly one cluster in 0..k-1 (the VCMI row

@@ -6,7 +6,6 @@ import pyspark.sql.functions as F
 import pytest
 
 from repro.linalg import (
-    cross_gram,
     fill_missing,
     gram,
     matmul_small,
@@ -25,6 +24,14 @@ def make_skinny(spark, M: np.ndarray):
     return spark.createDataFrame(
         pd.DataFrame({"id": np.arange(M.shape[0]), "vec": list(M)})
     )
+
+
+def spread_skinny(spark, M: np.ndarray, n_parts: int | None):
+    """``make_skinny``, or the same rows dealt round-robin from a single
+    partition over ``n_parts`` partitions, so consecutive rows land in
+    different partitions (and some stay empty when ``n_parts`` > rows)."""
+    df = make_skinny(spark, M)
+    return df if n_parts is None else df.coalesce(1).repartition(n_parts)
 
 
 def collect_skinny(df, n: int, r: int) -> np.ndarray:
@@ -98,22 +105,16 @@ class TestSpgemm:
 
 
 class TestGram:
-    def test_gram_matches_dense(self, spark):
+    @pytest.mark.parametrize("n_parts", [None, 64])
+    def test_gram_matches_dense(self, spark, n_parts):
         rng = np.random.default_rng(3)
         M = rng.standard_normal((40, 5))
-        got = gram(make_skinny(spark, M), 5)
+        got = gram(spread_skinny(spark, M, n_parts), 5)
         np.testing.assert_allclose(got, M.T @ M, atol=1e-10)
 
     def test_gram_empty(self, spark):
         empty = spark.createDataFrame([], "id bigint, vec array<double>")
         np.testing.assert_allclose(gram(empty, 3), np.zeros((3, 3)))
-
-    def test_cross_gram_matches_dense(self, spark):
-        rng = np.random.default_rng(4)
-        A = rng.standard_normal((30, 4))
-        B = rng.standard_normal((30, 6))
-        got = cross_gram(make_skinny(spark, A), make_skinny(spark, B), 4, 6)
-        np.testing.assert_allclose(got, A.T @ B, atol=1e-10)
 
 
 class TestSmallOps:
@@ -137,22 +138,29 @@ class TestSmallOps:
         np.testing.assert_allclose(got[0], 0.0)
         np.testing.assert_allclose(got[1], [0.6, 0.8])
 
-    def test_colwise_maxabs_value(self, spark):
+    @pytest.mark.parametrize("n_parts", [None, 3])
+    def test_colwise_maxabs_value(self, spark, n_parts):
         M = np.array([[1.0, -5.0], [-2.0, 3.0], [0.5, 4.0]])
-        got = colwise_maxabs_value(make_skinny(spark, M), 2)
+        df = spread_skinny(spark, M, n_parts)
+        if n_parts:
+            # The dominant entries (rows 1 and 0) must be merged across
+            # partitions on the driver.
+            pid = dict(df.select("id", F.spark_partition_id()).collect())
+            assert pid[0] != pid[1]
+        got = colwise_maxabs_value(df, 2)
         np.testing.assert_allclose(got, [-2.0, -5.0])
 
     def test_random_skinny_deterministic(self, spark):
         ids = spark.range(10)
-        a = collect_skinny(random_skinny(spark, ids, 4, seed=9), 10, 4)
-        b = collect_skinny(random_skinny(spark, ids, 4, seed=9), 10, 4)
+        a = collect_skinny(random_skinny(ids, 4, seed=9), 10, 4)
+        b = collect_skinny(random_skinny(ids, 4, seed=9), 10, 4)
         np.testing.assert_array_equal(a, b)
-        c = collect_skinny(random_skinny(spark, ids, 4, seed=10), 10, 4)
+        c = collect_skinny(random_skinny(ids, 4, seed=10), 10, 4)
         assert not np.allclose(a, c)
 
     def test_random_skinny_in_range(self, spark):
         ids = spark.range(50)
-        M = collect_skinny(random_skinny(spark, ids, 6, seed=1), 50, 6)
+        M = collect_skinny(random_skinny(ids, 6, seed=1), 50, 6)
         assert np.abs(M).max() <= 1.0
 
 
