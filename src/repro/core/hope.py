@@ -47,6 +47,15 @@ def hop_embedding(edges: DataFrame, *, alpha: float = 0.3, beta: int = 32,
     return x.localCheckpoint(eager=True), sigma
 
 
+def check_rank(k: int, sigma: np.ndarray, beta: int) -> None:
+    """Refuse k above the embedding rank ``len(sigma)`` = min(beta, |U|):
+    fewer dimensions than clusters cannot give k clusters."""
+    if k > len(sigma):
+        raise ValueError(
+            f"k={k} exceeds the embedding rank {len(sigma)} "
+            f"(min of beta={beta} and |U|): need k <= rank")
+
+
 def kmeans_assign(x: DataFrame, k: int, *, seed: int = 0,
                   max_iter: int = 50) -> DataFrame:
     """Cluster skinny-matrix rows with pyspark.ml KMeans -> (id, cluster)."""
@@ -62,8 +71,10 @@ def hope(edges: DataFrame, k: int, *, alpha: float = 0.3,
          beta: int | None = None, seed: int = 42,
          svd_iter: int = 6) -> DataFrame:
     """HOPE (Algorithm 1).  Returns the clustering as ``(id, cluster)``
-    over the u ids of ``edges``.  ``beta`` defaults to 5k as in §5.1."""
+    over the u ids of ``edges``.  ``beta`` defaults to 5k as in §5.1.
+    Raises ``ValueError`` when k exceeds the embedding rank min(beta, |U|)."""
     beta = beta or 5 * k
-    x, _ = hop_embedding(edges, alpha=alpha, beta=beta, seed=seed,
-                         n_iter=svd_iter)
+    x, sigma = hop_embedding(edges, alpha=alpha, beta=beta, seed=seed,
+                             n_iter=svd_iter)
+    check_rank(k, sigma, beta)
     return kmeans_assign(x, k, seed=seed)

@@ -30,7 +30,7 @@ from pyspark.sql import DataFrame
 
 from ..linalg import fold_partitions, gram, matmul_small
 from ..linalg.skinny import colwise_maxabs_value
-from .hope import hop_embedding
+from .hope import check_rank, hop_embedding
 
 
 def truncated_svd_of_skinny(x: DataFrame, beta: int, k: int
@@ -119,10 +119,7 @@ def hopeplus(edges: DataFrame, k: int, *, alpha: float = 0.3,
     beta = beta or 5 * k
     x, sigma = hop_embedding(edges, alpha=alpha, beta=beta, seed=seed,
                              n_iter=svd_iter)
-    if k > len(sigma):
-        raise ValueError(
-            f"k={k} exceeds the embedding rank {len(sigma)} "
-            f"(min of beta={beta} and |U|): stage 1 needs k <= rank")
+    check_rank(k, sigma, beta)
     l_df, _ = truncated_svd_of_skinny(x, len(sigma), k)
 
     # Stage 2 (Alg. 3).  Each iteration is one narrow Spark pass that

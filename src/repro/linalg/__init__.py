@@ -1,6 +1,5 @@
 """Distributed skinny-matrix linear algebra over Spark DataFrames."""
 from .skinny import (
-    fill_missing,
     fold_partitions,
     gram,
     matmul_small,
@@ -12,7 +11,6 @@ from .skinny import (
 )
 
 __all__ = [
-    "fill_missing",
     "fold_partitions",
     "gram",
     "matmul_small",

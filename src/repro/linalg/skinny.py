@@ -14,16 +14,19 @@ are all the HOPE/HOPE+ pipeline needs:
                      and the HOPE+ rounding step are folds over it.
 * ``matmul_small`` — skinny x broadcast small dense matrix (the map kernel,
                      on the same row stacking)
-* ``orthonormalize`` — CholeskyQR2 (two rounds of Gram + R^-1 for stability)
+* ``orthonormalize`` — CholeskyQR2 on one checkpoint of its input (two
+                     Grams + R^-1 for stability, no recomputation)
 * ``svd_topk``     — randomized subspace-iteration truncated SVD of a
                      sparse matrix, returning distributed singular vectors
+
+A row missing from a skinny matrix is a zero row: ``spgemm`` keeps only
+the ids that have an edge, and every kernel reads an absent row as zero.
 
 Only O(r^2) state ever lands on the driver, so the same code shape scales
 to the paper's billion-edge regime on a real cluster.
 """
 from __future__ import annotations
 
-import sys
 from functools import reduce
 
 import numpy as np
@@ -34,9 +37,12 @@ from pyspark.ml.functions import array_to_vector, vector_to_array
 from pyspark.ml.stat import Summarizer
 from pyspark.sql import DataFrame
 
-# The partition kernels below call this module's helpers on the Python
-# workers; ship them by value so a worker need not be able to import repro.
-cloudpickle.register_pickle_by_value(sys.modules[__name__])
+import repro
+
+# Ship every function of the package that runs on the Python workers (this
+# module's helpers, a fold from repro.core) by value, so a worker need not
+# be able to import repro; the registration covers all submodules.
+cloudpickle.register_pickle_by_value(repro)
 
 
 def random_skinny(ids: DataFrame, r: int, *, seed: int = 42,
@@ -61,8 +67,7 @@ def random_skinny(ids: DataFrame, r: int, *, seed: int = 42,
 def spgemm(edges: DataFrame, skinny: DataFrame) -> DataFrame:
     """Y = A S: sparse ``edges`` ``(r, c, v)`` times a skinny matrix keyed
     by ``c``.  Returns a skinny matrix keyed by the ``r`` ids that have at
-    least one edge (all-zero rows are dropped — callers re-attach them
-    with :func:`fill_missing` when needed)."""
+    least one edge; the all-zero rows of the other ids are left out."""
     scaled = (
         edges.join(skinny.withColumnRenamed("id", "c"), on="c")
         .select(
@@ -76,18 +81,6 @@ def spgemm(edges: DataFrame, skinny: DataFrame) -> DataFrame:
         scaled.groupBy("id")
         .agg(Summarizer.sum(F.col("sv")).alias("s"))
         .select("id", vector_to_array("s").alias("vec"))
-    )
-
-
-def fill_missing(ids: DataFrame, skinny: DataFrame, r: int,
-                 *, id_col: str = "id") -> DataFrame:
-    """Left-join ``skinny`` onto the full id universe, zero-filling rows
-    that dropped out of a product (isolated vertices)."""
-    zero = F.array_repeat(F.lit(0.0), r)
-    return (
-        ids.select(F.col(id_col).alias("id"))
-        .join(skinny, on="id", how="left")
-        .select("id", F.coalesce("vec", zero).alias("vec"))
     )
 
 
@@ -175,18 +168,20 @@ def _chol_inv(G: np.ndarray) -> np.ndarray:
     return np.linalg.inv(R)
 
 
-def orthonormalize(skinny: DataFrame, r: int, *, rounds: int = 2) -> DataFrame:
-    """CholeskyQR: Q with Q^T Q = I spanning the same column space.
+def orthonormalize(skinny: DataFrame, r: int) -> DataFrame:
+    """CholeskyQR2: Q with Q^T Q = I spanning the same column space.
 
-    ``rounds=2`` (CholeskyQR2) gives full orthogonality for final
-    results; ``rounds=1`` suffices inside subspace-iteration loops where
-    the next iteration re-orthonormalises anyway (half the Spark jobs).
+    The input is evaluated once, into a local checkpoint Y; both Cholesky
+    steps take their Gram from Y, building Q = Y T with
+    T = R_1^-1 R_2^-1, and the returned Q is a lazy map over Y.  The
+    second step restores the orthogonality the first loses on an
+    ill-conditioned block (Fukaya et al., ScalA 2014).
     """
-    q = skinny
-    for _ in range(rounds):
-        q = matmul_small(q, _chol_inv(gram(q, r)))
-        q = q.localCheckpoint(eager=True)  # truncate lineage in iterations
-    return q
+    y = skinny.localCheckpoint(eager=True)
+    t = np.eye(r)
+    for _ in range(2):
+        t = t @ _chol_inv(gram(matmul_small(y, t), r))
+    return matmul_small(y, t)
 
 
 def svd_topk(edges: DataFrame, row_ids: DataFrame, col_ids: DataFrame,
@@ -197,8 +192,8 @@ def svd_topk(edges: DataFrame, row_ids: DataFrame, col_ids: DataFrame,
 
     Randomized subspace iteration on A A^T: Y <- orth(A (A^T Y)), then
     Rayleigh–Ritz via the Gram of Z = A^T Y.  Returns ``(U, s)`` where U
-    is a lazy skinny DataFrame on ``row_ids`` (zero rows for isolated ids)
-    and ``s`` the singular values (descending).
+    is a lazy skinny DataFrame with a row for each row id that has an
+    edge (``n_iter`` >= 1) and ``s`` the singular values (descending).
     """
     r = rank + oversample
     edges = edges.select("r", "c", "v").localCheckpoint(eager=True)
@@ -211,14 +206,10 @@ def svd_topk(edges: DataFrame, row_ids: DataFrame, col_ids: DataFrame,
     rank = min(rank, r)
 
     Y = orthonormalize(random_skinny(row_ids, r, seed=seed, id_col=id_col), r)
-    for it in range(n_iter):
-        Y = spgemm(edges, spgemm(edges_t, Y))
-        # One CholeskyQR round mid-loop (the next iteration corrects any
-        # residual non-orthogonality), two on the last pass for accuracy.
-        Y = orthonormalize(Y, r, rounds=2 if it == n_iter - 1 else 1)
+    for _ in range(n_iter):
+        Y = orthonormalize(spgemm(edges, spgemm(edges_t, Y)), r)
     M = gram(spgemm(edges_t, Y), r)  # = Y^T A A^T Y, PSD
     w, W = np.linalg.eigh((M + M.T) / 2)
     order = np.argsort(w)[::-1][:rank]
     s = np.sqrt(np.maximum(w[order], 0.0))
-    U = matmul_small(Y, W[:, order])
-    return fill_missing(row_ids, U, rank, id_col=id_col), s
+    return matmul_small(Y, W[:, order]), s

@@ -94,6 +94,14 @@ class TestHopeEndToEnd:
         lab = labels_from_assignment(assign, ds.n_u)
         assert accuracy(ds.labels_u, lab) > 0.85
 
+    def test_k_above_embedding_rank_raises(self, spark):
+        # 20 U vertices cannot make 25 clusters.
+        ds = bipartite_sbm(n_u=20, n_v=15, n_edges=120, k=2, noise=0.1,
+                           seed=4)
+        with pytest.raises(ValueError, match=r"k=25 exceeds the embedding "
+                                             r"rank \d+"):
+            hope(ds.to_spark(spark), 25, seed=1, svd_iter=1)
+
 
 class TestKmeansAssign:
     def test_separated_rows(self, spark):

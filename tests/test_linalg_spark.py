@@ -1,12 +1,15 @@
 """Distributed skinny-matrix ops vs exact numpy, plus DuckDB-oracle
 checks of the spgemm join-aggregate."""
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pandas as pd
 import pyspark.sql.functions as F
 import pytest
 
 from repro.linalg import (
-    fill_missing,
     gram,
     matmul_small,
     orthonormalize,
@@ -92,17 +95,6 @@ class TestSpgemm:
         out = spgemm(edges, make_skinny(spark, S)).toPandas()
         assert set(out["id"]) == {0, 2}
 
-    def test_fill_missing_restores_rows(self, spark):
-        edges = spark.createDataFrame(
-            pd.DataFrame({"r": [0, 2], "c": [0, 1], "v": [1.0, 2.0]})
-        )
-        ids = spark.range(4).withColumnRenamed("id", "id")
-        out = spgemm(edges, make_skinny(spark, np.ones((2, 2))))
-        full = collect_skinny(fill_missing(ids, out, 2), 4, 2)
-        np.testing.assert_allclose(full[1], 0.0)
-        np.testing.assert_allclose(full[3], 0.0)
-        np.testing.assert_allclose(full[0], [1.0, 1.0])
-
 
 class TestGram:
     @pytest.mark.parametrize("n_parts", [None, 64])
@@ -164,12 +156,39 @@ class TestSmallOps:
         assert np.abs(M).max() <= 1.0
 
 
+def with_singular_values(n: int, s: np.ndarray) -> np.ndarray:
+    """A random n x len(s) matrix whose singular values are ``s``."""
+    rng = np.random.default_rng(11)
+    U, _ = np.linalg.qr(rng.standard_normal((n, len(s))))
+    V, _ = np.linalg.qr(rng.standard_normal((len(s), len(s))))
+    return U @ np.diag(s) @ V.T
+
+
 class TestOrthonormalize:
-    def test_orthonormal_columns(self, spark):
-        rng = np.random.default_rng(7)
-        M = rng.standard_normal((30, 5))
-        Q = collect_skinny(orthonormalize(make_skinny(spark, M), 5), 30, 5)
-        np.testing.assert_allclose(Q.T @ Q, np.eye(5), atol=1e-8)
+    @pytest.mark.parametrize("M", [
+        np.random.default_rng(7).standard_normal((30, 5)),
+        with_singular_values(200, np.logspace(0, -6, 8)),
+    ], ids=["gaussian", "cond1e6"])
+    def test_orthonormal_columns(self, spark, M):
+        n, r = M.shape
+        Q = collect_skinny(orthonormalize(make_skinny(spark, M), r), n, r)
+        np.testing.assert_allclose(Q.T @ Q, np.eye(r), atol=1e-8)
+
+    def test_evaluates_input_once(self, spark):
+        # The Grams and the result read one checkpoint of the input, so an
+        # input pass (here a tap counting the rows it sees) runs once.
+        seen = spark.sparkContext.accumulator(0)
+
+        def tap(batches):
+            for pdf in batches:
+                seen.add(len(pdf))
+                yield pdf
+
+        M = np.random.default_rng(9).standard_normal((30, 5))
+        df = make_skinny(spark, M).mapInPandas(
+            tap, "id bigint, vec array<double>")
+        orthonormalize(df, 5).collect()
+        assert seen.value == 30
 
     def test_preserves_column_space(self, spark):
         rng = np.random.default_rng(8)
@@ -202,3 +221,26 @@ class TestSvdTopk:
         col_ids = spark.range(2).select(F.col("id").alias("c"))
         U, s = svd_topk(edges, row_ids, col_ids, 10, seed=0)
         assert len(s) == 2
+
+
+class TestPickleByValue:
+    def test_core_function_loads_without_repro(self, tmp_path):
+        # A Python worker may not be able to import repro, so a module-level
+        # function of repro.core that a kernel ships there must travel by
+        # value.  Load one in a process that cannot import repro.
+        from pyspark import cloudpickle
+
+        from repro.core.hopeplus import fnem_update
+
+        (tmp_path / "f.pkl").write_bytes(cloudpickle.dumps(fnem_update))
+        code = (
+            "import importlib.util, pickle, numpy as np\n"
+            "assert importlib.util.find_spec('repro') is None\n"
+            "f = pickle.load(open('f.pkl', 'rb'))\n"
+            "print(np.round(f(np.diag([2.0, 3.0])), 12).tolist())\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                             env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[[1.0, 0.0], [0.0, 1.0]]"
