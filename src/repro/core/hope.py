@@ -8,8 +8,11 @@ Pipeline (all distributed, per §3 of the paper):
 2. X̂ = P · U_Q · diag((1-α) / (1-α·Σ²))  (Eq. 8, via Lemma 3.1).
 3. X = row-L2-normalised X̂ — the low-rank approximation of the HOP
    matrix H with the Theorem-3.2 error bound.
-4. k-Means over the rows of X (pyspark.ml, the stock Lloyd's the paper
-   also calls [24]).
+4. k-Means over the rows of X: Lloyd's with k-means++ seeding
+   (``sparsela.lloyd``, the stock k-Means [24] the paper calls, as in
+   ``hope_ref``) on the driver over all of X up to ``KMEANS_DOUBLES``
+   doubles, over a hashed uniform sample of its rows beyond; then every
+   row goes to its nearest centre on Spark.
 
 The embedding steps 1–3 are shared with HOPE+ via :func:`hop_embedding`.
 """
@@ -17,12 +20,11 @@ from __future__ import annotations
 
 import numpy as np
 import pyspark.sql.functions as F
-from pyspark.ml.clustering import KMeans
-from pyspark.ml.functions import array_to_vector
 from pyspark.sql import DataFrame
 
-from ..linalg import matmul_small, row_normalize, svd_topk
+from ..linalg import argmax_assign, matmul_small, row_normalize, svd_topk
 from ..linalg.skinny import spgemm
+from ..sparsela import lloyd
 from .graph import p_edges, q_edges, u_ids, v_ids
 
 
@@ -30,7 +32,16 @@ def hop_embedding(edges: DataFrame, *, alpha: float = 0.3, beta: int = 32,
                   n_iter: int = 6, seed: int = 42
                   ) -> tuple[DataFrame, np.ndarray]:
     """Rows of X (unit-L2, skinny DataFrame keyed by u) and the top-β
-    singular values of Q.  Lines 1–4 of Algorithms 1 and 2."""
+    singular values of Q.  Lines 1–4 of Algorithms 1 and 2.
+
+    Raises ``ValueError`` if a weight ``w`` is negative, NaN or null.
+    Edges of weight 0 are dropped, so a u whose weights are all 0 gets no
+    row; duplicate (u, v) pairs add up, as ``spgemm`` sums them."""
+    w = F.col("w")
+    if not edges.where(w.isNull() | F.isnan(w) | (w < 0)).isEmpty():
+        raise ValueError("edge weights w must be non-negative numbers; "
+                         "found a negative, NaN or null w")
+    edges = edges.where(w > 0)
     q = q_edges(edges)
     uid = u_ids(edges)
     vid = v_ids(edges)
@@ -56,15 +67,32 @@ def check_rank(k: int, sigma: np.ndarray, beta: int) -> None:
             f"(min of beta={beta} and |U|): need k <= rank")
 
 
-def kmeans_assign(x: DataFrame, k: int, *, seed: int = 0,
-                  max_iter: int = 50) -> DataFrame:
-    """Cluster skinny-matrix rows with pyspark.ml KMeans -> (id, cluster)."""
-    feats = x.select("id", array_to_vector("vec").alias("features"))
-    model = KMeans(k=k, seed=seed, maxIter=max_iter, featuresCol="features")
-    fitted = model.fit(feats)
-    return fitted.transform(feats).select(
-        "id", F.col("prediction").cast("int").alias("cluster")
-    )
+#: Doubles of X that k-means clusters on the driver (64 MB): every
+#: Table-2 stand-in at sf 1 fits whole (LastFM, 18K x 240, is 4.3M).
+KMEANS_DOUBLES = 2 ** 23
+
+
+def kmeans_assign(x: DataFrame, k: int, width: int, *, seed: int = 0
+                  ) -> DataFrame:
+    """k-Means over the rows of a skinny matrix ``width`` columns wide ->
+    ``(id, cluster)``.
+
+    One job collects the first m = max(k, KMEANS_DOUBLES // width) rows in
+    ``xxhash64(id, seed), id`` order: all rows when they fit, else a
+    uniform hashed sample.  Lloyd's runs on them on the driver, and every
+    row of ``x`` goes, lazily, to its nearest centre,
+    argmax_j (x·c_j − ½‖c_j‖²).  A centre left without rows takes none.
+    """
+    m = max(k, KMEANS_DOUBLES // width)
+    sample = x.orderBy(F.xxhash64("id", F.lit(seed)), "id").limit(m)
+    xs = np.vstack(sample.toPandas()["vec"].to_numpy())
+    labels = lloyd(xs, k, seed=seed)
+    sizes = np.bincount(labels, minlength=k)
+    centres = np.zeros((k, width))
+    np.add.at(centres, labels, xs)
+    centres /= np.maximum(sizes, 1)[:, None]
+    bias = np.where(sizes > 0, -0.5 * (centres ** 2).sum(axis=1), -np.inf)
+    return argmax_assign(x, centres.T, bias)
 
 
 def hope(edges: DataFrame, k: int, *, alpha: float = 0.3,
@@ -77,4 +105,4 @@ def hope(edges: DataFrame, k: int, *, alpha: float = 0.3,
     x, sigma = hop_embedding(edges, alpha=alpha, beta=beta, seed=seed,
                              n_iter=svd_iter)
     check_rank(k, sigma, beta)
-    return kmeans_assign(x, k, seed=seed)
+    return kmeans_assign(x, k, len(sigma), seed=seed)

@@ -20,15 +20,15 @@ Each iteration is one fused pass over L on the shared partition fold
 its rows to argmax_j (L T)_{i,j} and emits its partial Lᵀ C sums and
 cluster sizes — O(|U|·k) dataflow, no shuffle, O(k²) driver state.  The
 seeding (Lines 6-10 of Alg. 2) is the same pass with T = I; only the
-final assignment ``(id, cluster)`` is left as a DataFrame.
+final assignment ``(id, cluster)`` is left as a lazy DataFrame, from the
+same ``linalg.argmax_assign`` kernel HOPE's k-means assigns with.
 """
 from __future__ import annotations
 
 import numpy as np
-import pyspark.sql.functions as F
 from pyspark.sql import DataFrame
 
-from ..linalg import fold_partitions, gram, matmul_small
+from ..linalg import argmax_assign, fold_partitions, gram, matmul_small
 from ..linalg.skinny import colwise_maxabs_value
 from .hope import check_rank, hop_embedding
 
@@ -52,19 +52,6 @@ def truncated_svd_of_skinny(x: DataFrame, beta: int, k: int
     flip = np.sign(colwise_maxabs_value(matmul_small(x, B), k))
     flip[flip == 0] = 1.0
     return matmul_small(x, B * flip[None, :]).localCheckpoint(eager=True), s
-
-
-def _argmax_assign(l_df: DataFrame, t: np.ndarray) -> DataFrame:
-    """(id, cluster) with cluster = argmax_j (L T)_{i,j}.
-
-    `array_position(vec, array_max(vec))` is 1-based; ties resolve to the
-    first maximal column, matching numpy argmax.
-    """
-    return matmul_small(l_df, t).select(
-        "id",
-        (F.expr("array_position(vec, array_max(vec))").cast("int") - 1
-         ).alias("cluster"),
-    )
 
 
 def _rounding_step(l_df: DataFrame, t: np.ndarray, k: int
@@ -139,4 +126,4 @@ def hopeplus(edges: DataFrame, k: int, *, alpha: float = 0.3,
             break
         history = (history + [(s_raw, sizes)])[-6:]
         t = update(_lt_c_from_raw(s_raw, sizes))
-    return _argmax_assign(l_df, t)
+    return argmax_assign(l_df, t, np.zeros(k))

@@ -1,5 +1,6 @@
 """Distributed skinny-matrix linear algebra over Spark DataFrames."""
 from .skinny import (
+    argmax_assign,
     fold_partitions,
     gram,
     matmul_small,
@@ -11,6 +12,7 @@ from .skinny import (
 )
 
 __all__ = [
+    "argmax_assign",
     "fold_partitions",
     "gram",
     "matmul_small",

@@ -14,6 +14,9 @@ are all the HOPE/HOPE+ pipeline needs:
                      and the HOPE+ rounding step are folds over it.
 * ``matmul_small`` — skinny x broadcast small dense matrix (the map kernel,
                      on the same row stacking)
+* ``argmax_assign`` — the one assignment kernel, lazy: each row to the
+                     argmax of M W + b (HOPE's nearest k-means centre,
+                     HOPE+'s argmax of L·T)
 * ``orthonormalize`` — CholeskyQR2 on one checkpoint of its input (two
                      Grams + R^-1 for stability, no recomputation)
 * ``svd_topk``     — randomized subspace-iteration truncated SVD of a
@@ -22,8 +25,9 @@ are all the HOPE/HOPE+ pipeline needs:
 A row missing from a skinny matrix is a zero row: ``spgemm`` keeps only
 the ids that have an edge, and every kernel reads an absent row as zero.
 
-Only O(r^2) state ever lands on the driver, so the same code shape scales
-to the paper's billion-edge regime on a real cluster.
+Only small dense matrices (r x r Grams, broadcast weights) ever land on
+the driver, so the same code shape scales to the paper's billion-edge
+regime on a real cluster.
 """
 from __future__ import annotations
 
@@ -146,6 +150,25 @@ def matmul_small(skinny: DataFrame, small: np.ndarray) -> DataFrame:
     return skinny.mapInPandas(mult, "id bigint, vec array<double>")
 
 
+def argmax_assign(skinny: DataFrame, w: np.ndarray, b: np.ndarray
+                  ) -> DataFrame:
+    """``(id, cluster)`` with cluster = argmax_j (M W + b)_{i,j} for a
+    broadcast W in R^{r x m} and bias b in R^m; ties go to the first
+    maximal column, as in numpy."""
+    bc = skinny.sparkSession.sparkContext.broadcast(
+        (np.asarray(w, dtype=np.float64), np.asarray(b, dtype=np.float64)))
+
+    def assign(batches):
+        W, bias = bc.value
+        for pdf in batches:
+            if len(pdf):
+                cl = (_rows(pdf) @ W + bias).argmax(axis=1)
+                yield pd.DataFrame({"id": pdf["id"],
+                                    "cluster": cl.astype(np.int32)})
+
+    return skinny.mapInPandas(assign, "id bigint, cluster int")
+
+
 def row_normalize(skinny: DataFrame) -> DataFrame:
     """L2-normalise every row; all-zero rows are left as zeros."""
     norm = F.sqrt(
@@ -197,9 +220,7 @@ def svd_topk(edges: DataFrame, row_ids: DataFrame, col_ids: DataFrame,
     """
     r = rank + oversample
     edges = edges.select("r", "c", "v").localCheckpoint(eager=True)
-    edges_t = edges.select(
-        F.col("c").alias("r"), F.col("r").alias("c"), "v"
-    ).localCheckpoint(eager=True)
+    edges_t = edges.select(F.col("c").alias("r"), F.col("r").alias("c"), "v")
     id_col = row_ids.columns[0]
     n_cols_r = col_ids.count()
     r = min(r, n_cols_r)  # cannot exceed the small dimension

@@ -1,7 +1,8 @@
 """Dense k-means (Lloyd's algorithm with k-means++ seeding), numpy only.
 
-Shared by the spectral/embedding baselines and the numpy reference
-implementation of HOPE.  The distributed HOPE uses pyspark.ml KMeans.
+Shared by the spectral/embedding baselines, the numpy reference
+implementation of HOPE and the distributed HOPE, which runs it on the
+driver over the rows of X (``core.hope.kmeans_assign``).
 """
 from __future__ import annotations
 

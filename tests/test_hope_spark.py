@@ -1,6 +1,9 @@
 """Distributed HOPE (Algorithm 1) end-to-end and against the numpy
 reference implementation."""
+from importlib import import_module
+
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.core.hope import hop_embedding, hope, kmeans_assign
@@ -66,6 +69,25 @@ class TestHopEmbedding:
         # once beta reaches a few dozen.
         assert err < 0.1
 
+    @pytest.mark.parametrize("w", [-1.0, float("nan"), None],
+                             ids=["negative", "nan", "null"])
+    def test_bad_weight_raises(self, spark, w):
+        edges = spark.createDataFrame(
+            [(0, 0, 1.0), (0, 1, 2.0), (1, 1, w)], "u bigint, v bigint, w double")
+        with pytest.raises(ValueError, match="non-negative numbers"):
+            hop_embedding(edges, beta=2, n_iter=1)
+
+    def test_zero_weight_edges_dropped(self, spark, planted):
+        # u 0 keeps only weight-0 edges, so it gets no row; the rest of X
+        # is the embedding of the graph without them.
+        ds, _, _, _ = planted
+        pdf = ds.edges.copy()
+        pdf.loc[pdf["u"] == 0, "w"] = 0.0
+        X, _ = hop_embedding(spark.createDataFrame(pdf), beta=9, seed=1)
+        ids = X.toPandas()["id"]
+        assert 0 not in set(ids)
+        assert len(ids) == pdf.loc[pdf["u"] != 0, "u"].nunique()
+
 
 class TestHopeEndToEnd:
     def test_recovers_planted_clusters(self, spark, planted):
@@ -94,6 +116,20 @@ class TestHopeEndToEnd:
         lab = labels_from_assignment(assign, ds.n_u)
         assert accuracy(ds.labels_u, lab) > 0.85
 
+    def test_kmeans_on_a_sample_labels_every_u(self, spark, planted,
+                                               monkeypatch):
+        # A budget of 12 x 50 doubles: Lloyd's sees 50 of the 200 rows of
+        # X (beta = 12), and every u is still assigned a centre.
+        ds, edges, _, _ = planted
+        monkeypatch.setattr(import_module("repro.core.hope"),
+                            "KMEANS_DOUBLES", 12 * 50)
+        assign = hope(edges, ds.k, beta=12, seed=1)
+        pdf = assign.toPandas()
+        assert pdf["id"].is_unique
+        assert len(pdf) == len(np.unique(ds.edges["u"]))
+        lab = labels_from_assignment(assign, ds.n_u)
+        assert accuracy(ds.labels_u, lab) > 0.9
+
     def test_k_above_embedding_rank_raises(self, spark):
         # 20 U vertices cannot make 25 clusters.
         ds = bipartite_sbm(n_u=20, n_v=15, n_edges=120, k=2, noise=0.1,
@@ -105,13 +141,12 @@ class TestHopeEndToEnd:
 
 class TestKmeansAssign:
     def test_separated_rows(self, spark):
-        import pandas as pd
         rng = np.random.default_rng(0)
         M = np.vstack([rng.normal(0, 0.01, (20, 3)) + np.eye(3)[i]
                        for i in range(3)])
         df = spark.createDataFrame(
             pd.DataFrame({"id": np.arange(60), "vec": list(M)}))
-        out = kmeans_assign(df, 3, seed=0).toPandas().sort_values("id")
+        out = kmeans_assign(df, 3, 3, seed=0).toPandas().sort_values("id")
         lab = out["cluster"].to_numpy()
         truth = np.repeat([0, 1, 2], 20)
         assert accuracy(truth, lab) == 1.0

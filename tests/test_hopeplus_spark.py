@@ -4,7 +4,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.hope import hop_embedding
+from repro.core.hope import hop_embedding, hope
 from repro.core.hopeplus import _rounding_step, hopeplus, truncated_svd_of_skinny
 from repro.core.reference import build_pq, hopeplus_ref
 from repro.metrics import accuracy, nmi
@@ -89,16 +89,20 @@ class TestHopePlusEndToEnd:
         key = "spark.sql.shuffle.partitions"
         before = spark.conf.get(key)
         labels = {}
+        methods = {
+            "snem": lambda: hopeplus(edges, ds.k, beta=12, urt="snem", seed=1),
+            "fnem": lambda: hopeplus(edges, ds.k, beta=12, urt="fnem", seed=1),
+            "hope": lambda: hope(edges, ds.k, beta=12, seed=1),
+        }
         try:
             for n in ("64", "7"):
                 spark.conf.set(key, n)
-                for urt in ("snem", "fnem"):
-                    assign = hopeplus(edges, ds.k, beta=12, urt=urt, seed=1)
-                    labels[urt, n] = labels_from_assignment(assign, ds.n_u)
+                for name, run in methods.items():
+                    labels[name, n] = labels_from_assignment(run(), ds.n_u)
         finally:
             spark.conf.set(key, before)
-        for urt in ("snem", "fnem"):
-            np.testing.assert_array_equal(labels[urt, "64"], labels[urt, "7"])
+        for name in methods:
+            np.testing.assert_array_equal(labels[name, "64"], labels[name, "7"])
 
     def test_output_is_valid_vcmi_assignment(self, spark, planted):
         # Every u gets exactly one cluster in 0..k-1 (the VCMI row

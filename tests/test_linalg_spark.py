@@ -10,6 +10,7 @@ import pyspark.sql.functions as F
 import pytest
 
 from repro.linalg import (
+    argmax_assign,
     gram,
     matmul_small,
     orthonormalize,
@@ -116,6 +117,20 @@ class TestSmallOps:
         S = rng.standard_normal((3, 7))
         got = collect_skinny(matmul_small(make_skinny(spark, M), S), 20, 7)
         np.testing.assert_allclose(got, M @ S, atol=1e-12)
+
+    def test_argmax_assign(self, spark):
+        # Integer entries: rows 0 and 1 tie between columns, and numpy's
+        # first maximal column must win, as in the rounding fold.
+        rng = np.random.default_rng(7)
+        M = np.vstack([[[1.0, 1.0, 0.0]], [[0.0, 2.0, 2.0]],
+                       rng.integers(-3, 4, (30, 3)).astype(float)])
+        W = rng.integers(-2, 3, (3, 4)).astype(float)
+        W[:, :3] = np.eye(3)
+        b = np.array([0.0, 0.0, 0.0, -100.0])
+        got = argmax_assign(spread_skinny(spark, M, 7), W, b).toPandas()
+        got = got.sort_values("id")["cluster"].to_numpy()
+        np.testing.assert_array_equal(got, (M @ W + b).argmax(axis=1))
+        assert got[0] == 0 and got[1] == 1
 
     def test_row_normalize(self, spark):
         rng = np.random.default_rng(6)
