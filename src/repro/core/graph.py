@@ -1,4 +1,4 @@
-"""Bipartite-graph substrate: degrees and the transition matrices P and Q.
+"""Bipartite-graph substrate: the transition matrices P and Q.
 
 The input is an edge-list DataFrame ``(u bigint, v bigint, w double)`` for
 the weighted bipartite graph G = (U ∪ V, E).  Per §2.3 of the paper:
@@ -10,52 +10,40 @@ the weighted bipartite graph G = (U ∪ V, E).  Per §2.3 of the paper:
 * the WPG edge-weight matrix is W_V = Q Q^T (never materialised by
   HOPE/HOPE+, but :func:`wpg_edges` computes it for tests and small runs).
 
-Everything is a pure DataFrame/Catalyst computation; tests verify each
-piece against the DuckDB oracle with an equivalent SQL join-aggregate.
+P and Q are each one ``select`` over the edge list, in which every
+weighted degree is a window sum over the edges that share its vertex, so
+no degree table is built.  Everything is a pure DataFrame/Catalyst
+computation; tests verify each piece against the DuckDB oracle, whose SQL
+takes the degrees from ``GROUP BY`` subqueries.
 """
 from __future__ import annotations
 
 import pyspark.sql.functions as F
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, Window
 
 
-def u_degrees(edges: DataFrame) -> DataFrame:
-    """Weighted degree of every u: ``(u, deg)`` with deg = sum of w."""
-    return edges.groupBy("u").agg(F.sum("w").alias("deg"))
-
-
-def v_degrees(edges: DataFrame) -> DataFrame:
-    """Weighted degree of every v: ``(v, deg)``."""
-    return edges.groupBy("v").agg(F.sum("w").alias("deg"))
+def _deg(side: str):
+    """deg_w of the row's ``side`` vertex: the sum of w over its edges."""
+    return F.sum("w").over(Window.partitionBy(side))
 
 
 def p_edges(edges: DataFrame) -> DataFrame:
     """Transition matrix P in R^{|U| x |V|} as an edge list ``(r, c, v)``
     with r = u, c = v, v = p(u, v) = w / deg_w(u)  (Eq. 1)."""
-    du = u_degrees(edges)
-    return (
-        edges.join(du, on="u")
-        .select(
-            F.col("u").alias("r"),
-            F.col("v").alias("c"),
-            (F.col("w") / F.col("deg")).alias("v"),
-        )
+    return edges.select(
+        F.col("u").alias("r"),
+        F.col("v").alias("c"),
+        (F.col("w") / _deg("u")).alias("v"),
     )
 
 
 def q_edges(edges: DataFrame) -> DataFrame:
     """Q matrix in R^{|V| x |U|} as an edge list ``(r, c, v)`` with r = v,
     c = u, v = Q_{v,u} = w / sqrt(deg_w(u) * deg_w(v))  (Eq. 3)."""
-    du = u_degrees(edges).withColumnRenamed("deg", "deg_u")
-    dv = v_degrees(edges).withColumnRenamed("deg", "deg_v")
-    return (
-        edges.join(du, on="u")
-        .join(dv, on="v")
-        .select(
-            F.col("v").alias("r"),
-            F.col("u").alias("c"),
-            (F.col("w") / F.sqrt(F.col("deg_u") * F.col("deg_v"))).alias("v"),
-        )
+    return edges.select(
+        F.col("v").alias("r"),
+        F.col("u").alias("c"),
+        (F.col("w") / F.sqrt(_deg("u") * _deg("v"))).alias("v"),
     )
 
 

@@ -32,7 +32,7 @@ def hop_embedding(edges: DataFrame, *, alpha: float = 0.3, beta: int = 32,
                   n_iter: int = 6, seed: int = 42
                   ) -> tuple[DataFrame, np.ndarray]:
     """Rows of X (unit-L2, skinny DataFrame keyed by u) and the top-β
-    singular values of Q.  Lines 1–4 of Algorithms 1 and 2.
+    non-zero singular values of Q.  Lines 1–4 of Algorithms 1 and 2.
 
     Raises ``ValueError`` if a weight ``w`` is negative, NaN or null.
     Edges of weight 0 are dropped, so a u whose weights are all 0 gets no
@@ -59,12 +59,12 @@ def hop_embedding(edges: DataFrame, *, alpha: float = 0.3, beta: int = 32,
 
 
 def check_rank(k: int, sigma: np.ndarray, beta: int) -> None:
-    """Refuse k above the embedding rank ``len(sigma)`` = min(beta, |U|):
-    fewer dimensions than clusters cannot give k clusters."""
+    """Refuse k above the embedding rank ``len(sigma)`` = min(beta, rank
+    of Q): fewer dimensions than clusters cannot give k clusters."""
     if k > len(sigma):
         raise ValueError(
             f"k={k} exceeds the embedding rank {len(sigma)} "
-            f"(min of beta={beta} and |U|): need k <= rank")
+            f"(min of beta={beta} and the rank of Q): need k <= rank")
 
 
 #: Doubles of X that k-means clusters on the driver (64 MB): every
@@ -100,7 +100,8 @@ def hope(edges: DataFrame, k: int, *, alpha: float = 0.3,
          svd_iter: int = 6) -> DataFrame:
     """HOPE (Algorithm 1).  Returns the clustering as ``(id, cluster)``
     over the u ids of ``edges``.  ``beta`` defaults to 5k as in §5.1.
-    Raises ``ValueError`` when k exceeds the embedding rank min(beta, |U|)."""
+    Raises ``ValueError`` when k exceeds the embedding rank min(beta, rank
+    of Q), which |U| and |V| both bound."""
     beta = beta or 5 * k
     x, sigma = hop_embedding(edges, alpha=alpha, beta=beta, seed=seed,
                              n_iter=svd_iter)

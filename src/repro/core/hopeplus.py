@@ -96,11 +96,12 @@ def snem_update(ltc: np.ndarray) -> np.ndarray:
 
 
 def hopeplus(edges: DataFrame, k: int, *, alpha: float = 0.3,
-             beta: int | None = None, urt: str = "snem", t_max: int = 50,
+             beta: int | None = None, urt: str = "snem", t_max: int = 100,
              seed: int = 42, svd_iter: int = 6) -> DataFrame:
     """HOPE+ (Algorithm 2).  ``urt`` selects the rounding rule
     ('fnem' | 'snem').  Returns ``(id, cluster)`` over the u ids.  Raises
-    ``ValueError`` when k exceeds the embedding rank min(beta, |U|)."""
+    ``ValueError`` when k exceeds the embedding rank min(beta, rank of Q),
+    which |U| and |V| both bound."""
     if urt not in ("fnem", "snem"):
         raise ValueError(f"urt must be 'fnem' or 'snem', got {urt!r}")
     beta = beta or 5 * k

@@ -201,15 +201,18 @@ def orthonormalize(skinny: DataFrame, r: int) -> DataFrame:
     ill-conditioned block (Fukaya et al., ScalA 2014).
     """
     y = skinny.localCheckpoint(eager=True)
-    t = np.eye(r)
-    for _ in range(2):
-        t = t @ _chol_inv(gram(matmul_small(y, t), r))
+    t = _chol_inv(gram(y, r))
+    t = t @ _chol_inv(gram(matmul_small(y, t), r))
     return matmul_small(y, t)
 
 
+#: Columns the SVD's block carries beyond the wanted rank.
+OVERSAMPLE = 8
+
+
 def svd_topk(edges: DataFrame, row_ids: DataFrame, col_ids: DataFrame,
-             rank: int, *, n_iter: int = 6, oversample: int = 8,
-             seed: int = 42) -> tuple[DataFrame, np.ndarray]:
+             rank: int, *, n_iter: int = 6, seed: int = 42
+             ) -> tuple[DataFrame, np.ndarray]:
     """Top-``rank`` left singular vectors and singular values of a sparse
     matrix A given as an edge list ``(r, c, v)``.
 
@@ -217,20 +220,20 @@ def svd_topk(edges: DataFrame, row_ids: DataFrame, col_ids: DataFrame,
     Rayleigh–Ritz via the Gram of Z = A^T Y.  Returns ``(U, s)`` where U
     is a lazy skinny DataFrame with a row for each row id that has an
     edge (``n_iter`` >= 1) and ``s`` the singular values (descending).
+    Ritz values at rounding level belong to the null space of A, not its
+    range, and are dropped: ``len(s)`` is min(rank, numerical rank of A).
     """
-    r = rank + oversample
     edges = edges.select("r", "c", "v").localCheckpoint(eager=True)
     edges_t = edges.select(F.col("c").alias("r"), F.col("r").alias("c"), "v")
     id_col = row_ids.columns[0]
-    n_cols_r = col_ids.count()
-    r = min(r, n_cols_r)  # cannot exceed the small dimension
-    rank = min(rank, r)
+    r = min(rank + OVERSAMPLE, col_ids.count())  # cannot exceed |cols|
 
     Y = orthonormalize(random_skinny(row_ids, r, seed=seed, id_col=id_col), r)
     for _ in range(n_iter):
         Y = orthonormalize(spgemm(edges, spgemm(edges_t, Y)), r)
     M = gram(spgemm(edges_t, Y), r)  # = Y^T A A^T Y, PSD
     w, W = np.linalg.eigh((M + M.T) / 2)
-    order = np.argsort(w)[::-1][:rank]
-    s = np.sqrt(np.maximum(w[order], 0.0))
-    return matmul_small(Y, W[:, order]), s
+    order = np.argsort(w)[::-1]
+    keep = w[order] > r * np.finfo(np.float64).eps * w[order[0]]
+    order = order[keep][:rank]
+    return matmul_small(Y, W[:, order]), np.sqrt(w[order])

@@ -40,31 +40,24 @@ def randomized_svd(a: SparseCOO, rank: int, *, n_iter: int = 7,
 def eigsh_sym(a: SparseCOO, rank: int, *, n_iter: int = 25,
               oversample: int = 8, seed: int = 0
               ) -> tuple[np.ndarray, np.ndarray]:
-    """Top-``rank`` algebraically-largest eigenpairs of a symmetric sparse
-    matrix via randomized subspace iteration + Rayleigh–Ritz.
-
-    For matrices whose spectrum may contain negative eigenvalues of large
-    magnitude (e.g. modularity matrices) the caller should shift the
-    matrix; here we assume the dominant eigenvalues are the wanted ones.
-    """
-    n = a.shape[0]
-    r = min(rank + oversample, n)
-    rng = np.random.default_rng(seed)
-    Q = _orth(rng.standard_normal((n, r)))
-    for _ in range(n_iter):
-        Q = _orth(a.matmat(Q))
-    T = Q.T @ a.matmat(Q)  # r x r Rayleigh quotient
-    w, W = np.linalg.eigh((T + T.T) / 2)
-    order = np.argsort(w)[::-1]
-    w, W = w[order], W[:, order]
-    return w[:rank], (Q @ W)[:, :rank]
+    """Top-``rank`` eigenpairs of a symmetric sparse matrix:
+    :func:`matfree_eigsh` over its matvec."""
+    return matfree_eigsh(a.matvec, a.shape[0], rank, n_iter=n_iter,
+                         oversample=oversample, seed=seed)
 
 
 def matfree_eigsh(matvec, n: int, rank: int, *, n_iter: int = 30,
                   oversample: int = 8, seed: int = 0
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Like :func:`eigsh_sym` but for a matrix given only by its matvec
-    (e.g. the modularity matrix B = A - d d^T / 2m, never materialised)."""
+    """Top-``rank`` algebraically-largest eigenpairs of a symmetric n x n
+    matrix given only by its matvec (e.g. the modularity matrix
+    B = A - d d^T / 2m, never materialised), via randomized subspace
+    iteration + Rayleigh–Ritz.
+
+    For matrices whose spectrum may contain negative eigenvalues of large
+    magnitude (e.g. modularity matrices) the caller should shift the
+    matrix; here we assume the dominant eigenvalues are the wanted ones.
+    """
     rng = np.random.default_rng(seed)
     r = min(rank + oversample, n)
     Q = _orth(rng.standard_normal((n, r)))

@@ -8,9 +8,7 @@ import pytest
 from repro.core.graph import (
     p_edges,
     q_edges,
-    u_degrees,
     u_ids,
-    v_degrees,
     v_ids,
     wpg_edges,
 )
@@ -32,26 +30,6 @@ FIG3 = pd.DataFrame({
     "v": [0, 2, 0, 2, 1, 2],
     "w": [1.0] * 6,
 })
-
-
-class TestDegreesOracle:
-    def test_u_degrees_vs_duckdb(self, spark, small_edges):
-        edges, _ = small_edges
-        got = u_degrees(edges).select("u", F.col("deg").alias("deg"))
-        assert_equivalent(
-            got,
-            "SELECT u, SUM(w) AS deg FROM edges GROUP BY u",
-            edges=edges,
-        )
-
-    def test_v_degrees_vs_duckdb(self, spark, small_edges):
-        edges, _ = small_edges
-        got = v_degrees(edges)
-        assert_equivalent(
-            got,
-            "SELECT v, SUM(w) AS deg FROM edges GROUP BY v",
-            edges=edges,
-        )
 
 
 class TestPMatrix:

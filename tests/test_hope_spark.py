@@ -137,6 +137,12 @@ class TestHopeEndToEnd:
         with pytest.raises(ValueError, match=r"k=25 exceeds the embedding "
                                              r"rank \d+"):
             hope(ds.to_spark(spark), 25, seed=1, svd_iter=1)
+        # Nor can 12 V vertices: Q, |V| x |U|, has rank at most 12.
+        ds = bipartite_sbm(n_u=200, n_v=12, n_edges=800, k=2, noise=0.1,
+                           seed=4)
+        with pytest.raises(ValueError, match=r"k=13 exceeds the embedding "
+                                             r"rank \d+"):
+            hope(ds.to_spark(spark), 13, seed=1, svd_iter=1)
 
 
 class TestKmeansAssign:

@@ -83,6 +83,12 @@ class TestHopePlusEndToEnd:
         with pytest.raises(ValueError, match=r"k=25 exceeds the embedding "
                                              r"rank \d+"):
             hopeplus(ds.to_spark(spark), 25, seed=1, svd_iter=1)
+        # Q, |V| x |U|, has rank at most 12 when |V| = 12.
+        ds = bipartite_sbm(n_u=200, n_v=12, n_edges=800, k=2, noise=0.1,
+                           seed=4)
+        with pytest.raises(ValueError, match=r"k=13 exceeds the embedding "
+                                             r"rank \d+"):
+            hopeplus(ds.to_spark(spark), 13, seed=1, svd_iter=1)
 
     def test_labels_independent_of_shuffle_partitions(self, spark, planted):
         ds, edges = planted

@@ -230,12 +230,20 @@ class TestSvdTopk:
         np.testing.assert_allclose(overlap, 1.0, atol=1e-3)
 
     def test_rank_clamped(self, spark):
-        edges = spark.createDataFrame(
-            pd.DataFrame({"r": [0, 1, 2], "c": [0, 1, 0], "v": [1.0, 2.0, 3.0]}))
-        row_ids = spark.range(3).select(F.col("id").alias("r"))
-        col_ids = spark.range(2).select(F.col("id").alias("c"))
-        U, s = svd_topk(edges, row_ids, col_ids, 10, seed=0)
-        assert len(s) == 2
+        # A rank-10 request on a 3 x 2 and on a 3 x 6 matrix: the rank is
+        # capped by the columns and by the rows, and no zero singular
+        # value pads it.
+        tall = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 0.0]])
+        wide = np.random.default_rng(4).standard_normal((3, 6))
+        for A in (tall, wide):
+            r, c = np.nonzero(A)
+            edges = spark.createDataFrame(
+                pd.DataFrame({"r": r, "c": c, "v": A[r, c]}))
+            row_ids = spark.range(A.shape[0]).select(F.col("id").alias("r"))
+            col_ids = spark.range(A.shape[1]).select(F.col("id").alias("c"))
+            _, s = svd_topk(edges, row_ids, col_ids, 10, seed=0)
+            np.testing.assert_allclose(
+                s, np.linalg.svd(A, compute_uv=False), rtol=1e-8)
 
 
 class TestPickleByValue:
