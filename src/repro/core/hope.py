@@ -10,9 +10,9 @@ Pipeline (all distributed, per §3 of the paper):
    matrix H with the Theorem-3.2 error bound.
 4. k-Means over the rows of X: Lloyd's with k-means++ seeding
    (``sparsela.lloyd``, the stock k-Means [24] the paper calls, as in
-   ``hope_ref``) on the driver over all of X up to ``KMEANS_DOUBLES``
-   doubles, over a hashed uniform sample of its rows beyond; then every
-   row goes to its nearest centre on Spark.
+   ``hope_ref``) on the driver over :func:`hashed_sample` of X (all of X
+   up to ``SAMPLE_DOUBLES`` doubles, a hashed uniform sample of its rows
+   beyond); then every row goes to its nearest centre on Spark.
 
 The embedding steps 1–3 are shared with HOPE+ via :func:`hop_embedding`.
 """
@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pyspark.sql.functions as F
 from pyspark.sql import DataFrame
+from pyspark.sql.types import IntegralType, NumericType
 
 from ..linalg import argmax_assign, matmul_small, row_normalize, svd_topk
 from ..linalg.skinny import spgemm
@@ -34,9 +35,12 @@ def hop_embedding(edges: DataFrame, *, alpha: float = 0.3, beta: int = 32,
     """Rows of X (unit-L2, skinny DataFrame keyed by u) and the top-β
     non-zero singular values of Q.  Lines 1–4 of Algorithms 1 and 2.
 
-    Raises ``ValueError`` if a weight ``w`` is negative, NaN or null.
-    Edges of weight 0 are dropped, so a u whose weights are all 0 gets no
-    row; duplicate (u, v) pairs add up, as ``spgemm`` sums them."""
+    Raises ``ValueError`` if a column ``u``, ``v`` or ``w`` is missing or
+    of the wrong type (``u`` and ``v`` integers, ``w`` numeric), or if a
+    weight ``w`` is negative, NaN or null.  Edges of weight 0 are
+    dropped, so a u whose weights are all 0 gets no row; duplicate
+    (u, v) pairs add up, as ``spgemm`` sums them."""
+    check_schema(edges)
     w = F.col("w")
     if not edges.where(w.isNull() | F.isnan(w) | (w < 0)).isEmpty():
         raise ValueError("edge weights w must be non-negative numbers; "
@@ -58,6 +62,21 @@ def hop_embedding(edges: DataFrame, *, alpha: float = 0.3, beta: int = 32,
     return x.localCheckpoint(eager=True), sigma
 
 
+def check_schema(edges: DataFrame) -> None:
+    """Refuse an edge list without integer ``u``, ``v`` and a numeric
+    ``w``; reads ``edges.schema`` only, so it runs no Spark job."""
+    types = {f.name: f.dataType for f in edges.schema.fields}
+    for col, kind, what in (("u", IntegralType, "an integer"),
+                            ("v", IntegralType, "an integer"),
+                            ("w", NumericType, "a numeric")):
+        if col not in types:
+            raise ValueError(f"edges lack column {col!r}; "
+                             f"need columns u, v, w, got {list(types)}")
+        if not isinstance(types[col], kind):
+            raise ValueError(f"edge column {col!r} must be {what} type, "
+                             f"got {types[col].simpleString()}")
+
+
 def check_rank(k: int, sigma: np.ndarray, beta: int) -> None:
     """Refuse k above the embedding rank ``len(sigma)`` = min(beta, rank
     of Q): fewer dimensions than clusters cannot give k clusters."""
@@ -67,9 +86,22 @@ def check_rank(k: int, sigma: np.ndarray, beta: int) -> None:
             f"(min of beta={beta} and the rank of Q): need k <= rank")
 
 
-#: Doubles of X that k-means clusters on the driver (64 MB): every
-#: Table-2 stand-in at sf 1 fits whole (LastFM, 18K x 240, is 4.3M).
-KMEANS_DOUBLES = 2 ** 23
+#: Doubles of X that HOPE's k-means and HOPE+'s stages 1-2 take to the
+#: driver (64 MB): every Table-2 stand-in at sf 1 fits whole (LastFM,
+#: 18K x 240, is 4.3M).
+SAMPLE_DOUBLES = 2 ** 23
+
+
+def hashed_sample(x: DataFrame, k: int, width: int, *, seed: int = 0
+                  ) -> np.ndarray:
+    """The first m = max(k, SAMPLE_DOUBLES // width) rows of a skinny
+    matrix ``width`` columns wide, in ``xxhash64(id, seed), id`` order,
+    stacked on the driver in one job: all rows when they fit, else a
+    uniform hashed sample.  The order, and so every sum over the rows,
+    does not depend on the partitioning of ``x``."""
+    m = max(k, SAMPLE_DOUBLES // width)
+    sample = x.orderBy(F.xxhash64("id", F.lit(seed)), "id").limit(m)
+    return np.vstack(sample.toPandas()["vec"].to_numpy())
 
 
 def kmeans_assign(x: DataFrame, k: int, width: int, *, seed: int = 0
@@ -77,15 +109,11 @@ def kmeans_assign(x: DataFrame, k: int, width: int, *, seed: int = 0
     """k-Means over the rows of a skinny matrix ``width`` columns wide ->
     ``(id, cluster)``.
 
-    One job collects the first m = max(k, KMEANS_DOUBLES // width) rows in
-    ``xxhash64(id, seed), id`` order: all rows when they fit, else a
-    uniform hashed sample.  Lloyd's runs on them on the driver, and every
-    row of ``x`` goes, lazily, to its nearest centre,
+    Lloyd's runs on the driver over :func:`hashed_sample` of ``x``, and
+    every row of ``x`` goes, lazily, to its nearest centre,
     argmax_j (x·c_j − ½‖c_j‖²).  A centre left without rows takes none.
     """
-    m = max(k, KMEANS_DOUBLES // width)
-    sample = x.orderBy(F.xxhash64("id", F.lit(seed)), "id").limit(m)
-    xs = np.vstack(sample.toPandas()["vec"].to_numpy())
+    xs = hashed_sample(x, k, width, seed=seed)
     labels = lloyd(xs, k, seed=seed)
     sizes = np.bincount(labels, minlength=k)
     centres = np.zeros((k, width))

@@ -10,13 +10,12 @@ are all the HOPE/HOPE+ pipeline needs:
 * ``fold_partitions`` — the one reduce kernel: stack each partition's rows
                      into a dense block, fold the blocks into a fixed-size
                      numpy accumulator, return the per-partition partials
-                     to the driver.  ``gram`` (M^T M), ``colwise_maxabs_value``
-                     and the HOPE+ rounding step are folds over it.
+                     to the driver.  ``gram`` (M^T M) is its caller.
 * ``matmul_small`` — skinny x broadcast small dense matrix (the map kernel,
                      on the same row stacking)
 * ``argmax_assign`` — the one assignment kernel, lazy: each row to the
                      argmax of M W + b (HOPE's nearest k-means centre,
-                     HOPE+'s argmax of L·T)
+                     HOPE+'s argmax of L·T = X·(B T))
 * ``orthonormalize`` — CholeskyQR2 on one checkpoint of its input (two
                      Grams + R^-1 for stability, no recomputation)
 * ``svd_topk``     — randomized subspace-iteration truncated SVD of a
@@ -25,13 +24,13 @@ are all the HOPE/HOPE+ pipeline needs:
 A row missing from a skinny matrix is a zero row: ``spgemm`` keeps only
 the ids that have an edge, and every kernel reads an absent row as zero.
 
-Only small dense matrices (r x r Grams, broadcast weights) ever land on
-the driver, so the same code shape scales to the paper's billion-edge
-regime on a real cluster.
+The kernels here take only small dense matrices (r x r Grams,
+broadcast weights) to the driver.  The one larger driver-side object is
+in ``core``: a hashed sample of the rows of X bounded at 64 MB of
+doubles (``core.hope.hashed_sample``), on which HOPE's k-means and
+HOPE+'s stages 1-2 run.
 """
 from __future__ import annotations
-
-from functools import reduce
 
 import numpy as np
 import pandas as pd
@@ -44,8 +43,8 @@ from pyspark.sql import DataFrame
 import repro
 
 # Ship every function of the package that runs on the Python workers (this
-# module's helpers, a fold from repro.core) by value, so a worker need not
-# be able to import repro; the registration covers all submodules.
+# module's helpers) by value, so a worker need not be able to import repro;
+# the registration covers all submodules.
 cloudpickle.register_pickle_by_value(repro)
 
 
@@ -119,21 +118,6 @@ def fold_partitions(skinny: DataFrame, fold, shape: tuple[int, ...]
 def gram(skinny: DataFrame, r: int) -> np.ndarray:
     """G = M^T M in R^{r x r}, summed on the driver."""
     return fold_partitions(skinny, lambda g, M: g + M.T @ M, (r, r)).sum(axis=0)
-
-
-def _take_maxabs(best: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """``best`` with each entry replaced by the largest-magnitude entry of
-    that column of ``M`` when it is strictly larger in magnitude."""
-    cand = M[np.abs(M).argmax(axis=0), np.arange(M.shape[1])]
-    return np.where(np.abs(cand) > np.abs(best), cand, best)
-
-
-def colwise_maxabs_value(skinny: DataFrame, r: int) -> np.ndarray:
-    """Per column, the signed value of the entry with the largest absolute
-    value — used to fix the sign indeterminacy of computed eigenvectors
-    (flip each column so its dominant entry is positive)."""
-    parts = fold_partitions(skinny, _take_maxabs, (r,))
-    return reduce(_take_maxabs, parts[:, None], np.zeros(r))
 
 
 def matmul_small(skinny: DataFrame, small: np.ndarray) -> DataFrame:

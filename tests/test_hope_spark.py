@@ -4,6 +4,7 @@ from importlib import import_module
 
 import numpy as np
 import pandas as pd
+import pyspark.sql.functions as F
 import pytest
 
 from repro.core.hope import hop_embedding, hope, kmeans_assign
@@ -77,6 +78,23 @@ class TestHopEmbedding:
         with pytest.raises(ValueError, match="non-negative numbers"):
             hop_embedding(edges, beta=2, n_iter=1)
 
+    @pytest.mark.parametrize("col", ["w", "u"],
+                             ids=["missing_w", "string_u"])
+    def test_bad_schema_raises(self, spark, col):
+        edges = spark.createDataFrame(
+            [(0, 0, 1.0), (0, 1, 2.0), (1, 1, 1.0)], "u bigint, v bigint, w double")
+        edges = (edges.drop("w") if col == "w"
+                 else edges.withColumn("u", F.col("u").cast("string")))
+        sc = spark.sparkContext
+        sc.setJobGroup("bad-schema", "test")
+        try:
+            with pytest.raises(ValueError, match=f"column '{col}'"):
+                hop_embedding(edges, beta=2, n_iter=1)
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        # The check reads the schema only: no Spark job ran.
+        assert list(sc.statusTracker().getJobIdsForGroup("bad-schema")) == []
+
     def test_zero_weight_edges_dropped(self, spark, planted):
         # u 0 keeps only weight-0 edges, so it gets no row; the rest of X
         # is the embedding of the graph without them.
@@ -122,7 +140,7 @@ class TestHopeEndToEnd:
         # X (beta = 12), and every u is still assigned a centre.
         ds, edges, _, _ = planted
         monkeypatch.setattr(import_module("repro.core.hope"),
-                            "KMEANS_DOUBLES", 12 * 50)
+                            "SAMPLE_DOUBLES", 12 * 50)
         assign = hope(edges, ds.k, beta=12, seed=1)
         pdf = assign.toPandas()
         assert pdf["id"].is_unique

@@ -1,10 +1,11 @@
 """Distributed HOPE+ (Algorithms 2-3) end-to-end, VCMI invariants, and
 agreement with the numpy reference."""
+from importlib import import_module
+
 import numpy as np
-import pandas as pd
 import pytest
 
-from repro.core.hope import hop_embedding, hope
+from repro.core.hope import hashed_sample, hop_embedding, hope
 from repro.core.hopeplus import _rounding_step, hopeplus, truncated_svd_of_skinny
 from repro.core.reference import build_pq, hopeplus_ref
 from repro.metrics import accuracy, nmi
@@ -18,46 +19,44 @@ def planted(spark):
     return ds, ds.to_spark(spark).cache()
 
 
-class TestStage1:
-    def test_l_has_orthonormal_columns(self, spark, planted):
-        ds, edges = planted
-        X, _ = hop_embedding(edges, alpha=0.3, beta=12, seed=1)
-        L, s = truncated_svd_of_skinny(X, 12, ds.k)
-        pdf = L.toPandas()
-        M = np.vstack(pdf["vec"].to_numpy())
-        np.testing.assert_allclose(M.T @ M, np.eye(ds.k), atol=1e-6)
+@pytest.fixture(scope="module")
+def stage1(spark, planted):
+    ds, edges = planted
+    X, _ = hop_embedding(edges, alpha=0.3, beta=12, seed=1)
+    return X, truncated_svd_of_skinny(X, 12, ds.k, seed=1)
 
-    def test_singular_values_descending(self, spark, planted):
-        ds, edges = planted
-        X, _ = hop_embedding(edges, alpha=0.3, beta=12, seed=1)
-        _, s = truncated_svd_of_skinny(X, 12, ds.k)
+
+class TestStage1:
+    def test_l_has_orthonormal_columns(self, stage1):
+        # 200 rows of 12 doubles: the sample is all of X, so the sampled L
+        # is all of L, and B maps every row of X onto it.
+        X, (L, B, _) = stage1
+        Xm = np.vstack(X.toPandas()["vec"].to_numpy())
+        assert L.shape == (len(Xm), B.shape[1])
+        np.testing.assert_allclose(L.T @ L, np.eye(B.shape[1]), atol=1e-6)
+        np.testing.assert_allclose((Xm @ B).T @ (Xm @ B), L.T @ L, atol=1e-9)
+
+    def test_singular_values_descending(self, stage1):
+        _, (_, _, s) = stage1
         assert (np.diff(s) <= 1e-9).all()
 
-    def test_leading_column_oriented_positive(self, spark, planted):
-        ds, edges = planted
-        X, _ = hop_embedding(edges, alpha=0.3, beta=12, seed=1)
-        L, _ = truncated_svd_of_skinny(X, 12, ds.k)
-        M = np.vstack(L.toPandas()["vec"].to_numpy())
+    def test_leading_column_oriented_positive(self, stage1):
         # Perron-like leading eigenvector of X X^T: non-negative after the
         # sign fix.
-        assert M[:, 0].sum() > 0
+        _, (L, _, _) = stage1
+        assert L[:, 0].sum() > 0
 
 
 class TestRoundingStep:
     @pytest.mark.parametrize("rotate", [False, True])
-    def test_matches_numpy_argmax_sums(self, spark, rotate):
-        # 50 rows dealt round-robin over 64 partitions, so some partitions
-        # are empty.  Entries are multiples of 1/8, so every product and
-        # sum is exact and the partition-order sums must equal numpy's
-        # exactly.
+    def test_matches_numpy_argmax_sums(self, rotate):
+        # Entries are multiples of 1/8, so every product and sum is exact
+        # and S must equal the per-cluster sums of the argmax rows exactly.
         rng = np.random.default_rng(12)
         k = 4
         L = rng.integers(-8, 9, (50, k)) / 8
         T = rng.integers(-8, 9, (k, k)) / 8 if rotate else np.eye(k)
-        l_df = spark.createDataFrame(
-            pd.DataFrame({"id": np.arange(len(L)), "vec": list(L)})
-        ).coalesce(1).repartition(64)
-        S, sizes = _rounding_step(l_df, T, k)
+        S, sizes = _rounding_step(L, T)
         cl = (L @ T).argmax(axis=1)
         S_np = np.stack([L[cl == j].sum(axis=0) for j in range(k)], axis=1)
         np.testing.assert_array_equal(S, S_np)
@@ -69,6 +68,31 @@ class TestHopePlusEndToEnd:
     def test_recovers_planted_clusters(self, spark, planted, urt):
         ds, edges = planted
         assign = hopeplus(edges, ds.k, beta=12, urt=urt, seed=1)
+        lab = labels_from_assignment(assign, ds.n_u)
+        assert accuracy(ds.labels_u, lab) > 0.9
+
+    @pytest.mark.parametrize("urt", ["snem", "fnem"])
+    def test_rounding_on_a_sample_labels_every_u(self, spark, planted, urt,
+                                                 monkeypatch):
+        # A budget of 12 x 50 doubles: stages 1 and 2 see 50 of the 200
+        # rows of X (beta = 12), and the final pass labels every u.
+        ds, edges = planted
+        monkeypatch.setattr(import_module("repro.core.hope"),
+                            "SAMPLE_DOUBLES", 12 * 50)
+        shapes = []
+
+        def spy(*args, **kwargs):
+            xs = hashed_sample(*args, **kwargs)
+            shapes.append(xs.shape)
+            return xs
+
+        monkeypatch.setattr(import_module("repro.core.hopeplus"),
+                            "hashed_sample", spy)
+        assign = hopeplus(edges, ds.k, beta=12, urt=urt, seed=1)
+        assert shapes == [(50, 12)]
+        pdf = assign.toPandas()
+        assert pdf["id"].is_unique
+        assert len(pdf) == len(np.unique(ds.edges["u"]))
         lab = labels_from_assignment(assign, ds.n_u)
         assert accuracy(ds.labels_u, lab) > 0.9
 

@@ -19,7 +19,6 @@ from repro.linalg import (
     spgemm,
     svd_topk,
 )
-from repro.linalg.skinny import colwise_maxabs_value
 from repro.oracle import assert_equivalent
 from repro.sparsela import SparseCOO
 
@@ -120,7 +119,7 @@ class TestSmallOps:
 
     def test_argmax_assign(self, spark):
         # Integer entries: rows 0 and 1 tie between columns, and numpy's
-        # first maximal column must win, as in the rounding fold.
+        # first maximal column must win, as in HOPE+'s rounding.
         rng = np.random.default_rng(7)
         M = np.vstack([[[1.0, 1.0, 0.0]], [[0.0, 2.0, 2.0]],
                        rng.integers(-3, 4, (30, 3)).astype(float)])
@@ -144,18 +143,6 @@ class TestSmallOps:
         got = collect_skinny(row_normalize(make_skinny(spark, M)), 2, 2)
         np.testing.assert_allclose(got[0], 0.0)
         np.testing.assert_allclose(got[1], [0.6, 0.8])
-
-    @pytest.mark.parametrize("n_parts", [None, 3])
-    def test_colwise_maxabs_value(self, spark, n_parts):
-        M = np.array([[1.0, -5.0], [-2.0, 3.0], [0.5, 4.0]])
-        df = spread_skinny(spark, M, n_parts)
-        if n_parts:
-            # The dominant entries (rows 1 and 0) must be merged across
-            # partitions on the driver.
-            pid = dict(df.select("id", F.spark_partition_id()).collect())
-            assert pid[0] != pid[1]
-        got = colwise_maxabs_value(df, 2)
-        np.testing.assert_allclose(got, [-2.0, -5.0])
 
     def test_random_skinny_deterministic(self, spark):
         ids = spark.range(10)
