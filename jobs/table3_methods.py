@@ -6,7 +6,7 @@ strings from the paper's Table 3.
 """
 import _session  # noqa: F401  (sys.path setup)
 
-from repro.baselines import BASELINES, OUR_METHODS_COMPLEXITY
+from repro.baselines import BASELINES, OUR_METHODS
 
 
 def main() -> None:
@@ -14,7 +14,7 @@ def main() -> None:
     print("-" * 70)
     for name, (_, cat, cx) in BASELINES.items():
         print(f"{name:<16s} {cat:<18s} {cx}")
-    for name, cx in OUR_METHODS_COMPLEXITY.items():
+    for name, (_, cx) in OUR_METHODS.items():
         print(f"{name:<16s} {'Our Solutions':<18s} {cx}")
 
 

@@ -17,11 +17,9 @@ import pathlib
 
 from _session import get_spark
 
-from repro.baselines import BASELINES
+from repro.baselines import BASELINES, OUR_METHODS
 from repro.synth_data import SMALL_DATASETS
 from repro.tables import EXCLUDED, evaluate_dataset, render_table
-
-OUR = ["HOPE", "HOPE+ (FNEM)", "HOPE+ (SNEM)"]
 
 
 def main() -> None:
@@ -40,7 +38,7 @@ def main() -> None:
         per[name] = evaluate_dataset(spark, name, seed=0,
                                      n_runs=args.n_runs,
                                      size_factor=args.size_factor)
-    methods = [m for m in BASELINES] + OUR
+    methods = [*BASELINES, *OUR_METHODS]
     print()
     print(render_table(per, methods, datasets))
     print("\nRuntimes (s):")

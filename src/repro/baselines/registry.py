@@ -1,7 +1,8 @@
-"""Registry of the 13 competitor methods (paper Table 3).
+"""Registry of the 13 competitor methods and of the three HOPE-family
+methods (paper Table 3).
 
-Each entry: display name -> (callable(ds, k, seed=..) -> labels,
-category, time-complexity string as printed in Table 3).
+Each ``BASELINES`` entry: display name -> (callable(ds, k, seed=..) ->
+labels, category, time-complexity string as printed in Table 3).
 """
 from __future__ import annotations
 
@@ -31,8 +32,10 @@ BASELINES: dict[str, tuple] = {
     "BiSBM-MCMC": (bisbm_mcmc_baseline, "BGC", "O((|U|+|V|)k + |E| log^2(|U|+|V|))"),
 }
 
-OUR_METHODS_COMPLEXITY = {
-    "HOPE": "O((|E| + |U|k) * beta)",
-    "HOPE+ (FNEM)": "O(|E|beta + |U|beta^2 + |U|k^2)",
-    "HOPE+ (SNEM)": "O(|E|beta + |U|beta^2 + |U|k)",
+#: The three HOPE-family methods, run on Spark by ``repro.tables``:
+#: display name -> (HOPE+ rounding rule, None for HOPE; Table-3 complexity).
+OUR_METHODS: dict[str, tuple[str | None, str]] = {
+    "HOPE": (None, "O((|E| + |U|k) * beta)"),
+    "HOPE+ (FNEM)": ("fnem", "O(|E|beta + |U|beta^2 + |U|k^2)"),
+    "HOPE+ (SNEM)": ("snem", "O(|E|beta + |U|beta^2 + |U|k)"),
 }

@@ -12,15 +12,20 @@ Stage 2 — round L into a vertex-cluster-membership-indicator matrix C
 * FNEM: T = Φ Ψᵀ from the SVD of Lᵀ C (orthogonal Procrustes, Lemma 4.4)
 * SNEM: T = Lᵀ C (Lemma 4.5)
 
-The distributed layout: stages 1 and 2 run on the driver over one
-hashed sample of the rows of X (``core.hope.hashed_sample``, the sample
-HOPE's k-means takes: all of X up to ``SAMPLE_DOUBLES`` doubles).  Stage
-1 is numpy on the sample; each iteration of Alg. 3 assigns the sampled
-rows of L to argmax_j (L T)_{i,j} and sums Lᵀ C and the cluster sizes,
-O(m·k) flops and no Spark job.  The only Spark pass after the embedding
-is the lazy final assignment ``(id, cluster)`` of every row of X, from
-the ``linalg.argmax_assign`` kernel HOPE's k-means assigns with: L T is
-X (B T) with the β x k map B = V_k Σ_k⁻¹ of stage 1.
+Both stages are pure numpy: :func:`stage1` maps rows of X to (L, B, σ)
+and :func:`rounding` runs Alg. 3 on rows of L and returns T.  The numpy
+reference (``core.reference.hopeplus_ref``) runs the same two functions
+on all of its own X, so it is the oracle for the embedding only.
+
+The distributed layout: both stages run on the driver over one hashed
+sample of the rows of X (``core.hope.hashed_sample``, the sample HOPE's
+k-means takes: all of X up to ``SAMPLE_DOUBLES`` doubles).  Each
+iteration of Alg. 3 assigns the sampled rows of L to argmax_j (L T)_{i,j}
+and sums Lᵀ C and the cluster sizes, O(m·k) flops and no Spark job.  The
+only Spark pass after the embedding is the lazy final assignment
+``(id, cluster)`` of every row of X, from the ``linalg.argmax_assign``
+kernel HOPE's k-means assigns with: L T is X (B T) with the β x k map
+B = V_k Σ_k⁻¹ of stage 1.
 """
 from __future__ import annotations
 
@@ -31,13 +36,11 @@ from ..linalg import argmax_assign
 from .hope import check_rank, hashed_sample, hop_embedding
 
 
-def truncated_svd_of_skinny(x: DataFrame, beta: int, k: int, *,
-                            seed: int = 0
-                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Top-k left singular vectors of a skinny matrix X via the Gram
-    trick, on the driver over ``hashed_sample(x)``: eigh(XᵀX) -> V, σ²;
-    B = V_k diag(1/σ_k); L = X B.  Returns the sampled rows of L, B and σ
-    (of the sample, so of X when the sample is all of X).
+def stage1(xs: np.ndarray, k: int
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Top-k left singular vectors of the skinny rows ``xs`` of X via the
+    Gram trick: eigh(XᵀX) -> V, σ²; B = V_k diag(1/σ_k); L = X B.
+    Returns L, B and σ.
 
     Each column of L, and of B with it, is flipped so its
     largest-magnitude entry is positive: eigenvector signs are arbitrary,
@@ -46,7 +49,6 @@ def truncated_svd_of_skinny(x: DataFrame, beta: int, k: int, *,
     non-negative matrix) oriented non-negatively, else the seeding
     collapses.
     """
-    xs = hashed_sample(x, k, beta, seed=seed)
     G = xs.T @ xs
     w, V = np.linalg.eigh((G + G.T) / 2)
     order = np.argsort(w)[::-1][:k]
@@ -56,6 +58,15 @@ def truncated_svd_of_skinny(x: DataFrame, beta: int, k: int, *,
     flip = np.sign(L[np.abs(L).argmax(axis=0), np.arange(k)])
     flip[flip == 0] = 1.0
     return L * flip, B * flip, s
+
+
+def truncated_svd_of_skinny(x: DataFrame, beta: int, k: int, *,
+                            seed: int = 0
+                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`stage1` on the driver over ``hashed_sample(x)``: the sampled
+    rows of L, B and σ (of the sample, so of X when the sample is all of
+    X)."""
+    return stage1(hashed_sample(x, k, beta, seed=seed), k)
 
 
 def _rounding_step(l: np.ndarray, t: np.ndarray
@@ -85,6 +96,31 @@ def snem_update(ltc: np.ndarray) -> np.ndarray:
     return ltc
 
 
+def rounding(l: np.ndarray, k: int, *, urt: str, t_max: int
+             ) -> np.ndarray:
+    """Stage 2 (Alg. 3) on the rows of L: the k x k rotation T whose
+    argmax_j (L T)_{i,j} labels them ('fnem' | 'snem' update rule).
+
+    Each iteration both applies the current rotation T (greedy seeding
+    when T = I) and aggregates the statistics for the next T.
+    Convergence: C is a deterministic function of T, and T of
+    (S, sizes), so if the aggregated (S, sizes) repeats, C has converged
+    (or entered a cycle of boundary vertices — SNEM can oscillate forever
+    on a handful of rows, at which point iterating has no metric effect).
+    """
+    update = fnem_update if urt == "fnem" else snem_update
+    t = np.eye(k)  # greedy seeding first: L·I is exactly L
+    history: list[tuple[np.ndarray, np.ndarray]] = []
+    for _ in range(t_max + 1):
+        s_raw, sizes = _rounding_step(l, t)
+        if any(np.allclose(s_raw, s0, rtol=1e-12, atol=1e-12)
+               and np.array_equal(sizes, z0) for s0, z0 in history):
+            break
+        history = (history + [(s_raw, sizes)])[-6:]
+        t = update(_lt_c_from_raw(s_raw, sizes))
+    return t
+
+
 def hopeplus(edges: DataFrame, k: int, *, alpha: float = 0.3,
              beta: int | None = None, urt: str = "snem", t_max: int = 100,
              seed: int = 42, svd_iter: int = 6) -> DataFrame:
@@ -99,22 +135,5 @@ def hopeplus(edges: DataFrame, k: int, *, alpha: float = 0.3,
                              n_iter=svd_iter)
     check_rank(k, sigma, beta)
     l, b, _ = truncated_svd_of_skinny(x, len(sigma), k, seed=seed)
-
-    # Stage 2 (Alg. 3) on the sampled rows of L.  Each iteration both
-    # applies the current rotation T (greedy seeding when T = I) and
-    # aggregates the statistics for the next T.  Convergence: C is a
-    # deterministic function of T, and T of (S, sizes), so if the
-    # aggregated (S, sizes) repeats, C has converged (or entered a
-    # 2-cycle of boundary vertices — SNEM can oscillate forever on a
-    # handful of rows, at which point iterating has no metric effect).
-    update = fnem_update if urt == "fnem" else snem_update
-    t = np.eye(k)  # greedy seeding first: L·I is exactly L
-    history: list[tuple[np.ndarray, np.ndarray]] = []
-    for _ in range(t_max + 1):
-        s_raw, sizes = _rounding_step(l, t)
-        if any(np.allclose(s_raw, s0, rtol=1e-12, atol=1e-12)
-               and np.array_equal(sizes, z0) for s0, z0 in history):
-            break
-        history = (history + [(s_raw, sizes)])[-6:]
-        t = update(_lt_c_from_raw(s_raw, sizes))
-    return argmax_assign(x, b @ t, np.zeros(k))
+    return argmax_assign(x, b @ rounding(l, k, urt=urt, t_max=t_max),
+                         np.zeros(k))

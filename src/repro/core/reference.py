@@ -5,13 +5,16 @@ graphs, and by unit tests that verify the paper's lemmas numerically:
 
 * exact HOP matrix H via the closed form of Lemma 3.1 (full dense SVD),
 * reference HOPE (Alg. 1) and HOPE+ (Algs. 2-3) on the
-  :class:`~repro.sparsela.SparseCOO` substrate.
+  :class:`~repro.sparsela.SparseCOO` substrate.  What Spark computes
+  differently (P, Q, the SVD, Λ, the row normalisation) is computed here
+  independently; HOPE+'s stages 1-2 are the Spark path's own numpy.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from ..sparsela import SparseCOO, lloyd, randomized_svd
+from .hopeplus import rounding, stage1
 
 
 # -- graph matrices ---------------------------------------------------------
@@ -79,42 +82,13 @@ def hope_ref(P: SparseCOO, Q: SparseCOO, k: int, *, alpha: float = 0.3,
 
 # -- HOPE+ reference --------------------------------------------------------
 
-def rounding_ref(L: np.ndarray, k: int, *, urt: str = "snem",
-                 t_max: int = 100) -> np.ndarray:
-    """Algorithm 3 in numpy: alternate T and C updates until C is stable."""
-    labels = L.argmax(axis=1)
-    for _ in range(t_max):
-        # L^T C with C's 1/sqrt(|C_j|) column scaling (Eq. 10).
-        sizes = np.bincount(labels, minlength=k).astype(np.float64)
-        S = np.zeros((L.shape[1], k))
-        for j in range(k):
-            if sizes[j]:
-                S[:, j] = L[labels == j].sum(axis=0) / np.sqrt(sizes[j])
-        if urt == "fnem":
-            Phi, _, PsiT = np.linalg.svd(S)
-            T = Phi @ PsiT
-        else:
-            T = S
-        new_labels = (L @ T).argmax(axis=1)
-        if (new_labels == labels).all():
-            break
-        labels = new_labels
-    return labels
-
-
 def hopeplus_ref(P: SparseCOO, Q: SparseCOO, k: int, *, alpha: float = 0.3,
                  beta: int | None = None, urt: str = "snem", seed: int = 0,
                  t_max: int = 100) -> np.ndarray:
+    """HOPE+ on :func:`hop_embedding_ref`'s X, with stages 1 and 2 run by
+    the Spark path's own numpy (:func:`~repro.core.hopeplus.stage1`,
+    :func:`~repro.core.hopeplus.rounding`) on all rows of X."""
     beta = beta or 5 * k
     X, _ = hop_embedding_ref(P, Q, alpha, beta, seed=seed)
-    # k-truncated SVD of X via the Gram trick (same as the Spark path).
-    G = X.T @ X
-    w, V = np.linalg.eigh((G + G.T) / 2)
-    order = np.argsort(w)[::-1][:k]
-    s = np.sqrt(np.maximum(w[order], 1e-300))
-    L = X @ (V[:, order] / s[None, :])
-    # Same sign convention as the Spark path: dominant entry per column
-    # positive (eigenvector signs are arbitrary; argmax seeding is not).
-    flip = np.sign(L[np.abs(L).argmax(axis=0), np.arange(L.shape[1])])
-    flip[flip == 0] = 1.0
-    return rounding_ref(L * flip[None, :], k, urt=urt, t_max=t_max)
+    L, _, _ = stage1(X, k)
+    return (L @ rounding(L, k, urt=urt, t_max=t_max)).argmax(axis=1)

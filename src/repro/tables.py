@@ -13,7 +13,7 @@ import time
 import numpy as np
 from pyspark.sql import SparkSession
 
-from .baselines import BASELINES
+from .baselines import BASELINES, OUR_METHODS
 from .core import hope, hopeplus
 from .metrics import all_metrics
 from .synth_data import BipartiteDataset, make_dataset
@@ -53,19 +53,18 @@ def labels_from_assignment(assign_df, n_u: int) -> np.ndarray:
 def run_our_method(spark: SparkSession, ds: BipartiteDataset, method: str,
                    *, alpha: float = 0.3, beta: int | None = None,
                    seed: int = 42, svd_iter: int = 5) -> np.ndarray:
-    """Run HOPE / HOPE+ (FNEM) / HOPE+ (SNEM) on Spark, return U labels."""
+    """Run one of ``OUR_METHODS`` (HOPE / HOPE+ (FNEM) / HOPE+ (SNEM)) on
+    Spark, return U labels."""
+    if method not in OUR_METHODS:
+        raise ValueError(method)
+    urt, _ = OUR_METHODS[method]
     edges = ds.to_spark(spark).localCheckpoint(eager=True)
-    if method == "HOPE":
+    if urt is None:
         assign = hope(edges, ds.k, alpha=alpha, beta=beta, seed=seed,
                       svd_iter=svd_iter)
-    elif method == "HOPE+ (FNEM)":
-        assign = hopeplus(edges, ds.k, alpha=alpha, beta=beta, urt="fnem",
-                          seed=seed, svd_iter=svd_iter)
-    elif method == "HOPE+ (SNEM)":
-        assign = hopeplus(edges, ds.k, alpha=alpha, beta=beta, urt="snem",
-                          seed=seed, svd_iter=svd_iter)
     else:
-        raise ValueError(method)
+        assign = hopeplus(edges, ds.k, alpha=alpha, beta=beta, urt=urt,
+                          seed=seed, svd_iter=svd_iter)
     return labels_from_assignment(assign, ds.n_u)
 
 
@@ -78,17 +77,16 @@ def evaluate_dataset(spark: SparkSession | None, name: str, *,
     {method: {"acc":…, "f1":…, "nmi":…, "ari":…, "time": seconds}} with
     metric values averaged over ``n_runs`` differently-seeded runs."""
     ds = make_dataset(name, seed=seed, size_factor=size_factor)
-    our = ["HOPE", "HOPE+ (FNEM)", "HOPE+ (SNEM)"]
     if methods is None:
         methods = [m for m in BASELINES if m not in EXCLUDED.get(name, set())]
-        methods += our
+        methods += list(OUR_METHODS)
     results: dict[str, dict] = {}
     for m in methods:
         vals = {k: [] for k in METRICS}
         t0 = time.time()
         try:
             for run in range(n_runs):
-                if m in our:
+                if m in OUR_METHODS:
                     if spark is None:
                         raise RuntimeError("Spark session required for " + m)
                     beta = beta_mult * ds.k

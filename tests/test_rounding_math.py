@@ -1,17 +1,25 @@
-"""Numerical verification of the rounding lemmas (4.4 and 4.5) and the
-behaviour of Algorithm 3 in its numpy reference form."""
+"""Numerical verification of the rounding lemmas (4.4 and 4.5), of the
+stage-1 Gram trick against numpy's SVD, and of the behaviour of
+Algorithm 3 as ``core.hopeplus.rounding`` runs it for Spark and the
+reference alike."""
+from importlib import import_module
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.hopeplus import fnem_update, snem_update
-from repro.core.reference import rounding_ref
+from repro.core.hopeplus import fnem_update, rounding, snem_update, stage1
 
 
 def random_orthogonal(rng, k):
     q, _ = np.linalg.qr(rng.standard_normal((k, k)))
     return q
+
+
+def rounding_labels(L, k, *, urt, t_max=100):
+    """The labels argmax_j (L T)_{i,j} of the T that Alg. 3 returns."""
+    return (L @ rounding(L, k, urt=urt, t_max=t_max)).argmax(axis=1)
 
 
 def make_lc(seed, n=40, k=3):
@@ -22,6 +30,21 @@ def make_lc(seed, n=40, k=3):
     C[np.arange(n), labels] = 1.0
     C /= np.maximum(np.sqrt(C.sum(axis=0)), 1.0)[None, :]
     return rng, L, C
+
+
+class TestStage1:
+    def test_matches_numpy_svd(self):
+        rng = np.random.default_rng(6)
+        X = rng.standard_normal((60, 10))
+        L, B, s = stage1(X, 3)
+        U, sv, _ = np.linalg.svd(X, full_matrices=False)
+        np.testing.assert_allclose(s, sv[:3], rtol=1e-10)
+        for j in range(3):
+            sign = np.sign(L[:, j] @ U[:, j])
+            np.testing.assert_allclose(L[:, j], sign * U[:, j], atol=1e-10)
+        np.testing.assert_allclose(L, X @ B, atol=1e-12)
+        top = L[np.abs(L).argmax(axis=0), np.arange(3)]
+        assert (top > 0).all()
 
 
 class TestLemma44Procrustes:
@@ -76,7 +99,7 @@ class TestRoundingBehaviour:
         labels = np.repeat([0, 1, 2], 20)
         L = base[labels] + 0.01 * rng.standard_normal((60, 3))
         for urt in ("snem", "fnem"):
-            got = rounding_ref(L, 3, urt=urt)
+            got = rounding_labels(L, 3, urt=urt)
             # perfect grouping up to label permutation
             for g in range(3):
                 seg = got[labels == g]
@@ -98,17 +121,43 @@ class TestRoundingBehaviour:
 
         seed_labels = L.argmax(axis=1)
         for urt in ("snem", "fnem"):
-            got = rounding_ref(L, 4, urt=urt)
+            got = rounding_labels(L, 4, urt=urt)
             assert trace_obj(got) >= trace_obj(seed_labels) - 1e-9
 
     def test_handles_empty_cluster(self):
         # All rows pointing at the same corner: rounding must not crash.
         L = np.tile(np.array([[1.0, 0.0]]), (10, 1))
-        got = rounding_ref(L, 2, urt="snem")
+        got = rounding_labels(L, 2, urt="snem")
         assert len(got) == 10
 
     def test_max_iterations_respected(self):
         rng = np.random.default_rng(5)
         L = rng.standard_normal((30, 3))
-        got = rounding_ref(L, 3, urt="snem", t_max=1)
+        got = rounding_labels(L, 3, urt="snem", t_max=1)
         assert len(got) == 30
+
+    #: SNEM alternates between two labelings of the last-but-one row.
+    CYCLE_L = np.array([[1, .25], [.5, 1], [-.25, .75], [.75, 1], [.25, 1],
+                        [-.5, -.25], [.25, .25], [1, .5]])
+
+    @pytest.mark.parametrize("urt, calls, labels", [
+        ("snem", 3, [0, 1, 1, 1, 1, 1, 0, 0]),
+        ("fnem", 2, [0, 1, 1, 1, 1, 1, 0, 0]),
+    ])
+    def test_stops_on_a_repeated_step(self, monkeypatch, urt, calls, labels):
+        # SNEM cycles [.., 0, 0] -> [.., 1, 0] -> [.., 0, 0]: the third step
+        # repeats the first one's statistics and stops the loop, with T of
+        # the labeling the cycle started from.  FNEM reaches a fixed point,
+        # which the second step's repeat of the first detects.
+        # The module, not the ``hopeplus`` function ``repro.core`` exports.
+        hp = import_module("repro.core.hopeplus")
+        step, seen = hp._rounding_step, []
+
+        def counted(l, t):
+            seen.append(t)
+            return step(l, t)
+
+        monkeypatch.setattr(hp, "_rounding_step", counted)
+        got = rounding_labels(self.CYCLE_L, 2, urt=urt)
+        assert len(seen) == calls
+        np.testing.assert_array_equal(got, labels)
