@@ -1,7 +1,7 @@
 """Shared SparkSession builder for the spark-submit job entrypoints.
 
-Jobs are plain scripts (``python jobs/table4_quality_small.py`` or
-``spark-submit jobs/table4_quality_small.py``); tests use the conftest
+Jobs are plain scripts (``python jobs/table_quality.py --table 4`` or
+``spark-submit jobs/table_quality.py --table 4``); tests use the conftest
 ``spark`` fixture instead.
 """
 import os

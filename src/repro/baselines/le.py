@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..sparsela import matfree_eigsh
+from ..sparsela import subspace_eigh
 from ..synth_data import BipartiteDataset
 from .common import unipartite
 
@@ -44,22 +44,19 @@ def le_baseline(ds: BipartiteDataset, k: int, *, seed: int = 0) -> np.ndarray:
                            minlength=n)[idx]
         diag_corr = a_in - dg * dg.sum() / two_m
 
-        def bg_matvec(x_sub):
-            x = np.zeros(n)
-            x[idx] = x_sub
-            ax = a.matvec(x)[idx]
-            # Generalised modularity (Newman 2006 Eq. 6): subtract the
-            # null model and the diagonal degree-within-group correction.
-            kx = dg * (dg @ x_sub) / two_m
-            return ax - kx - diag_corr * x_sub
-
         # Shift to make the leading algebraic eigenvalue dominant.
         shift = 2.0 * dg.max() + 1.0
 
-        def shifted(x_sub):
-            return bg_matvec(x_sub) + shift * x_sub
+        def shifted(y):
+            x = np.zeros((n, y.shape[1]))
+            x[idx] = y
+            ay = a.matmat(x)[idx]
+            # Generalised modularity (Newman 2006 Eq. 6): subtract the
+            # null model and the diagonal degree-within-group correction.
+            ky = dg[:, None] * (dg @ y)[None, :] / two_m
+            return ay - ky - diag_corr[:, None] * y + shift * y
 
-        w, V = matfree_eigsh(shifted, len(idx), 1, seed=seed, n_iter=40)
+        w, V = subspace_eigh(shifted, len(idx), 1, n_iter=40, seed=seed)
         lead = w[0] - shift
         vec = V[:, 0]
         if lead <= 1e-12 or (vec >= 0).all() or (vec <= 0).all():

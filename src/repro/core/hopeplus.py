@@ -33,6 +33,7 @@ import numpy as np
 from pyspark.sql import DataFrame
 
 from ..linalg import argmax_assign
+from ..sparsela import ritz
 from .hope import check_rank, hashed_sample, hop_embedding
 
 
@@ -49,11 +50,9 @@ def stage1(xs: np.ndarray, k: int
     non-negative matrix) oriented non-negatively, else the seeding
     collapses.
     """
-    G = xs.T @ xs
-    w, V = np.linalg.eigh((G + G.T) / 2)
-    order = np.argsort(w)[::-1][:k]
-    s = np.sqrt(np.maximum(w[order], 1e-300))
-    B = V[:, order] / s[None, :]
+    w, V = ritz(xs.T @ xs, k)
+    s = np.sqrt(np.maximum(w, 1e-300))
+    B = V / s[None, :]
     L = xs @ B
     flip = np.sign(L[np.abs(L).argmax(axis=0), np.arange(k)])
     flip[flip == 0] = 1.0
@@ -96,6 +95,14 @@ def snem_update(ltc: np.ndarray) -> np.ndarray:
     return ltc
 
 
+def update_rule(urt: str):
+    """Alg. 3's T update named ``urt``; ``ValueError`` for another name."""
+    rules = {"fnem": fnem_update, "snem": snem_update}
+    if urt not in rules:
+        raise ValueError(f"urt must be one of {sorted(rules)}, got {urt!r}")
+    return rules[urt]
+
+
 def rounding(l: np.ndarray, k: int, *, urt: str, t_max: int
              ) -> np.ndarray:
     """Stage 2 (Alg. 3) on the rows of L: the k x k rotation T whose
@@ -108,7 +115,7 @@ def rounding(l: np.ndarray, k: int, *, urt: str, t_max: int
     (or entered a cycle of boundary vertices — SNEM can oscillate forever
     on a handful of rows, at which point iterating has no metric effect).
     """
-    update = fnem_update if urt == "fnem" else snem_update
+    update = update_rule(urt)
     t = np.eye(k)  # greedy seeding first: L·I is exactly L
     history: list[tuple[np.ndarray, np.ndarray]] = []
     for _ in range(t_max + 1):
@@ -125,11 +132,11 @@ def hopeplus(edges: DataFrame, k: int, *, alpha: float = 0.3,
              beta: int | None = None, urt: str = "snem", t_max: int = 100,
              seed: int = 42, svd_iter: int = 6) -> DataFrame:
     """HOPE+ (Algorithm 2).  ``urt`` selects the rounding rule
-    ('fnem' | 'snem').  Returns ``(id, cluster)`` over the u ids.  Raises
-    ``ValueError`` when k exceeds the embedding rank min(beta, rank of Q),
-    which |U| and |V| both bound."""
-    if urt not in ("fnem", "snem"):
-        raise ValueError(f"urt must be 'fnem' or 'snem', got {urt!r}")
+    ('fnem' | 'snem'; any other is refused before the embedding).  Returns
+    ``(id, cluster)`` over the u ids.  Raises ``ValueError`` when k
+    exceeds the embedding rank min(beta, rank of Q), which |U| and |V|
+    both bound."""
+    update_rule(urt)
     beta = beta or 5 * k
     x, sigma = hop_embedding(edges, alpha=alpha, beta=beta, seed=seed,
                              n_iter=svd_iter)

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..sparsela import SparseCOO, lloyd, randomized_svd
-from .hopeplus import rounding, stage1
+from ..sparsela import SparseCOO, lloyd, svd_left
+from .hope import check_rank
+from .hopeplus import rounding, stage1, update_rule
 
 
 # -- graph matrices ---------------------------------------------------------
@@ -64,9 +65,10 @@ def exact_f_series(P: SparseCOO, Q: SparseCOO, alpha: float,
 def hop_embedding_ref(P: SparseCOO, Q: SparseCOO, alpha: float, beta: int,
                       *, seed: int = 0, n_iter: int = 8
                       ) -> tuple[np.ndarray, np.ndarray]:
-    """X (unit rows, |U| x β) and singular values — numpy mirror of
-    :func:`repro.core.hope.hop_embedding`."""
-    U, s, _ = randomized_svd(Q, beta, seed=seed, n_iter=n_iter)
+    """X (unit rows, |U| x len(s)) and the top-β non-zero singular values
+    s of Q — numpy mirror of :func:`repro.core.hope.hop_embedding`, whose
+    ``svd_topk`` iteration ``svd_left`` runs from another start block."""
+    U, s = svd_left(Q, beta, n_iter=n_iter, seed=seed)
     lam = (1.0 - alpha) / (1.0 - alpha * np.minimum(s, 1.0) ** 2)
     X_hat = P.matmat(U * lam[None, :])
     norms = np.linalg.norm(X_hat, axis=1, keepdims=True)
@@ -75,8 +77,11 @@ def hop_embedding_ref(P: SparseCOO, Q: SparseCOO, alpha: float, beta: int,
 
 def hope_ref(P: SparseCOO, Q: SparseCOO, k: int, *, alpha: float = 0.3,
              beta: int | None = None, seed: int = 0) -> np.ndarray:
+    """HOPE on :func:`hop_embedding_ref`'s X with ``sparsela.lloyd``; like
+    :func:`~repro.core.hope.hope`, refuses k above the embedding rank."""
     beta = beta or 5 * k
-    X, _ = hop_embedding_ref(P, Q, alpha, beta, seed=seed)
+    X, s = hop_embedding_ref(P, Q, alpha, beta, seed=seed)
+    check_rank(k, s, beta)
     return lloyd(X, k, seed=seed)
 
 
@@ -87,8 +92,12 @@ def hopeplus_ref(P: SparseCOO, Q: SparseCOO, k: int, *, alpha: float = 0.3,
                  t_max: int = 100) -> np.ndarray:
     """HOPE+ on :func:`hop_embedding_ref`'s X, with stages 1 and 2 run by
     the Spark path's own numpy (:func:`~repro.core.hopeplus.stage1`,
-    :func:`~repro.core.hopeplus.rounding`) on all rows of X."""
+    :func:`~repro.core.hopeplus.rounding`) on all rows of X.  Like
+    :func:`~repro.core.hopeplus.hopeplus`, refuses an unknown ``urt``
+    before the SVD and k above the embedding rank."""
+    update_rule(urt)
     beta = beta or 5 * k
-    X, _ = hop_embedding_ref(P, Q, alpha, beta, seed=seed)
+    X, s = hop_embedding_ref(P, Q, alpha, beta, seed=seed)
+    check_rank(k, s, beta)
     L, _, _ = stage1(X, k)
     return (L @ rounding(L, k, urt=urt, t_max=t_max)).argmax(axis=1)

@@ -41,6 +41,7 @@ from pyspark.ml.stat import Summarizer
 from pyspark.sql import DataFrame
 
 import repro
+from ..sparsela import OVERSAMPLE, ritz
 
 # Ship every function of the package that runs on the Python workers (this
 # module's helpers) by value, so a worker need not be able to import repro;
@@ -190,10 +191,6 @@ def orthonormalize(skinny: DataFrame, r: int) -> DataFrame:
     return matmul_small(y, t)
 
 
-#: Columns the SVD's block carries beyond the wanted rank.
-OVERSAMPLE = 8
-
-
 def svd_topk(edges: DataFrame, row_ids: DataFrame, col_ids: DataFrame,
              rank: int, *, n_iter: int = 6, seed: int = 42
              ) -> tuple[DataFrame, np.ndarray]:
@@ -201,9 +198,10 @@ def svd_topk(edges: DataFrame, row_ids: DataFrame, col_ids: DataFrame,
     matrix A given as an edge list ``(r, c, v)``.
 
     Randomized subspace iteration on A A^T: Y <- orth(A (A^T Y)), then
-    Rayleigh–Ritz via the Gram of Z = A^T Y.  Returns ``(U, s)`` where U
-    is a lazy skinny DataFrame with a row for each row id that has an
-    edge (``n_iter`` >= 1) and ``s`` the singular values (descending).
+    Rayleigh–Ritz (``sparsela.ritz``) on the Gram of Z = A^T Y.  Returns
+    ``(U, s)`` where U is a lazy skinny DataFrame with a row for each row
+    id that has an edge (``n_iter`` >= 1) and ``s`` the singular values
+    (descending).
     Ritz values at rounding level belong to the null space of A, not its
     range, and are dropped: ``len(s)`` is min(rank, numerical rank of A).
     """
@@ -215,9 +213,6 @@ def svd_topk(edges: DataFrame, row_ids: DataFrame, col_ids: DataFrame,
     Y = orthonormalize(random_skinny(row_ids, r, seed=seed, id_col=id_col), r)
     for _ in range(n_iter):
         Y = orthonormalize(spgemm(edges, spgemm(edges_t, Y)), r)
-    M = gram(spgemm(edges_t, Y), r)  # = Y^T A A^T Y, PSD
-    w, W = np.linalg.eigh((M + M.T) / 2)
-    order = np.argsort(w)[::-1]
-    keep = w[order] > r * np.finfo(np.float64).eps * w[order[0]]
-    order = order[keep][:rank]
-    return matmul_small(Y, W[:, order]), np.sqrt(w[order])
+    w, W = ritz(gram(spgemm(edges_t, Y), r), r)  # of Y^T A A^T Y, PSD
+    keep = w > r * np.finfo(np.float64).eps * w[0]
+    return matmul_small(Y, W[:, keep][:, :rank]), np.sqrt(w[keep][:rank])

@@ -1,6 +1,7 @@
 """NumPy sparse linear-algebra substrate (scipy is not installed)."""
 from .coo import SparseCOO
 from .kmeans import lloyd
-from .randsvd import eigsh_sym, matfree_eigsh, randomized_svd
+from .randsvd import OVERSAMPLE, ritz, subspace_eigh, svd_left
 
-__all__ = ["SparseCOO", "lloyd", "eigsh_sym", "matfree_eigsh", "randomized_svd"]
+__all__ = ["SparseCOO", "lloyd", "OVERSAMPLE", "ritz", "subspace_eigh",
+           "svd_left"]

@@ -1,8 +1,12 @@
-"""Randomized truncated SVD / symmetric eigensolver over ``SparseCOO``.
+"""Randomized subspace iteration and Rayleigh–Ritz, numpy only.
 
-Halko–Martinsson–Tropp randomized subspace iteration.  Used by the numpy
-baselines (SC / SBC / SCC / LE / PPR sketches) and as the reference
-implementation that the distributed Spark SVD is tested against.
+Halko–Martinsson–Tropp subspace iteration (SIAM Review 2011, Alg. 4.4).
+``subspace_eigh`` is the one numpy loop: the spectral baselines (SC, LE)
+run it on a symmetric operator, and ``svd_left`` runs it on A Aᵀ for the
+reference HOP embedding, SBC and SCC.  That is the iteration of the
+distributed ``linalg.svd_topk`` (Q <- orth(A Aᵀ Q), then Rayleigh–Ritz),
+with a numpy start block in place of the hashed one.  ``ritz`` is the one
+Rayleigh–Ritz step, which ``svd_topk`` and HOPE+'s stage 1 share.
 """
 from __future__ import annotations
 
@@ -10,65 +14,48 @@ import numpy as np
 
 from .coo import SparseCOO
 
-
-def _orth(Y: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the columns of Y via reduced QR."""
-    q, _ = np.linalg.qr(Y)
-    return q
+#: Columns the subspace block carries beyond the wanted rank.
+OVERSAMPLE = 8
 
 
-def randomized_svd(a: SparseCOO, rank: int, *, n_iter: int = 7,
-                   oversample: int = 8, seed: int = 0
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Top-``rank`` SVD of a sparse matrix: returns (U, s, Vt).
-
-    Subspace iteration on A A^T with re-orthonormalisation each step, then
-    a small exact SVD of the projected matrix B = Q^T A.
-    """
-    n, m = a.shape
-    r = min(rank + oversample, min(n, m))
-    rng = np.random.default_rng(seed)
-    Q = _orth(a.matmat(rng.standard_normal((m, r))))
-    for _ in range(n_iter):
-        Q = _orth(a.matmat(_orth(a.rmatmat(Q))))
-    B = a.rmatmat(Q).T  # r x m
-    Ub, s, Vt = np.linalg.svd(B, full_matrices=False)
-    U = Q @ Ub
-    return U[:, :rank], s[:rank], Vt[:rank]
+def ritz(m: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-``rank`` eigenpairs of the symmetric part of ``m``, eigenvalues
+    in descending order."""
+    w, W = np.linalg.eigh((m + m.T) / 2)
+    order = np.argsort(w)[::-1][:rank]
+    return w[order], W[:, order]
 
 
-def eigsh_sym(a: SparseCOO, rank: int, *, n_iter: int = 25,
-              oversample: int = 8, seed: int = 0
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """Top-``rank`` eigenpairs of a symmetric sparse matrix:
-    :func:`matfree_eigsh` over its matvec."""
-    return matfree_eigsh(a.matvec, a.shape[0], rank, n_iter=n_iter,
-                         oversample=oversample, seed=seed)
-
-
-def matfree_eigsh(matvec, n: int, rank: int, *, n_iter: int = 30,
-                  oversample: int = 8, seed: int = 0
+def subspace_eigh(mm, n: int, rank: int, *, n_iter: int, seed: int
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Top-``rank`` algebraically-largest eigenpairs of a symmetric n x n
-    matrix given only by its matvec (e.g. the modularity matrix
-    B = A - d d^T / 2m, never materialised), via randomized subspace
-    iteration + Rayleigh–Ritz.
+    """Top-``rank`` eigenpairs (descending) of a symmetric n x n matrix M
+    given only by its block product ``mm(Y) = M Y``.
 
-    For matrices whose spectrum may contain negative eigenvalues of large
-    magnitude (e.g. modularity matrices) the caller should shift the
-    matrix; here we assume the dominant eigenvalues are the wanted ones.
+    The block, min(rank + OVERSAMPLE, n) columns wide, starts from a
+    Gaussian drawn from ``seed``; each of the ``n_iter`` steps is
+    Q <- qr(M Q), and Rayleigh–Ritz on Qᵀ M Q ends the loop.  The block
+    converges to the eigenvalues of largest magnitude, so a caller that
+    wants the algebraically largest ones of an indefinite M shifts it.
     """
-    rng = np.random.default_rng(seed)
-    r = min(rank + oversample, n)
-    Q = _orth(rng.standard_normal((n, r)))
-
-    def mm(X):
-        return np.column_stack([matvec(X[:, j]) for j in range(X.shape[1])])
-
+    r = min(rank + OVERSAMPLE, n)
+    q = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, r)))[0]
     for _ in range(n_iter):
-        Q = _orth(mm(Q))
-    T = Q.T @ mm(Q)
-    w, W = np.linalg.eigh((T + T.T) / 2)
-    order = np.argsort(w)[::-1]
-    w, W = w[order], W[:, order]
-    return w[:rank], (Q @ W)[:, :rank]
+        q = np.linalg.qr(mm(q))[0]
+    w, W = ritz(q.T @ mm(q), rank)
+    return w, q @ W
+
+
+def svd_left(a: SparseCOO, rank: int, *, n_iter: int, seed: int
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Top-``rank`` left singular vectors U and singular values s
+    (descending) of a sparse A, by :func:`subspace_eigh` on A Aᵀ.
+
+    As in ``svd_topk``, Ritz values at rounding level belong to the null
+    space of A, not its range, and are dropped: ``len(s)`` is
+    min(rank, numerical rank of A).
+    """
+    n = a.shape[0]
+    w, U = subspace_eigh(lambda y: a.matmat(a.rmatmat(y)), n, rank,
+                         n_iter=n_iter, seed=seed)
+    keep = w > min(rank + OVERSAMPLE, n) * np.finfo(np.float64).eps * w[0]
+    return U[:, keep], np.sqrt(w[keep])

@@ -14,7 +14,8 @@ import numpy as np
 from pyspark.sql import SparkSession
 
 from .baselines import BASELINES, OUR_METHODS
-from .core import hope, hopeplus
+from .core.hope import hope
+from .core.hopeplus import hopeplus
 from .metrics import all_metrics
 from .synth_data import BipartiteDataset, make_dataset
 

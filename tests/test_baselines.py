@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro.baselines import BASELINES
+from repro.baselines.common import unipartite
+from repro.baselines.spectral import sc_eigenpairs
 from repro.metrics import accuracy
+from repro.sparsela import OVERSAMPLE
 from repro.synth_data import bipartite_sbm
 
 EASY = dict(n_u=200, n_v=150, n_edges=3000, k=3, noise=0.05, seed=17)
@@ -60,6 +63,21 @@ def test_handles_isolated_vertices(name):
     bigger = replace(ds, labels_u=np.concatenate([ds.labels_u, [0] * 5]))
     lab = BASELINES[name][0](bigger, 2, seed=0)
     assert len(lab) == 65
+
+
+def test_sc_eigenvalues_match_eigvalsh():
+    # N = D^{-1/2} A D^{-1/2} of a bipartite graph has a ± symmetric
+    # spectrum; SC needs N's k largest eigenvalues, not the k of largest
+    # magnitude, also when k exceeds the block's oversampling.
+    ds = bipartite_sbm(n_u=60, n_v=40, n_edges=1000, k=10, noise=0.15,
+                       seed=5)
+    assert ds.k > OVERSAMPLE
+    a = unipartite(ds).to_dense()
+    s = 1.0 / np.sqrt(a.sum(axis=1))
+    exact = np.linalg.eigvalsh(s[:, None] * a * s[None, :])[::-1][:ds.k]
+    w, V = sc_eigenpairs(ds, ds.k, seed=0)
+    np.testing.assert_allclose(w, exact, atol=1e-6)
+    assert V.shape == (ds.n_u + ds.n_v, ds.k)
 
 
 class TestCategoryMetadata:

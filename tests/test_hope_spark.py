@@ -1,12 +1,11 @@
 """Distributed HOPE (Algorithm 1) end-to-end and against the numpy
 reference implementation."""
-from importlib import import_module
-
 import numpy as np
 import pandas as pd
 import pyspark.sql.functions as F
 import pytest
 
+import repro.core.hope as hope_mod
 from repro.core.hope import hop_embedding, hope, kmeans_assign
 from repro.core.reference import build_pq, exact_hop_matrix, hop_embedding_ref
 from repro.metrics import accuracy
@@ -139,8 +138,7 @@ class TestHopeEndToEnd:
         # A budget of 12 x 50 doubles: Lloyd's sees 50 of the 200 rows of
         # X (beta = 12), and every u is still assigned a centre.
         ds, edges, _, _ = planted
-        monkeypatch.setattr(import_module("repro.core.hope"),
-                            "SAMPLE_DOUBLES", 12 * 50)
+        monkeypatch.setattr(hope_mod, "SAMPLE_DOUBLES", 12 * 50)
         assign = hope(edges, ds.k, beta=12, seed=1)
         pdf = assign.toPandas()
         assert pdf["id"].is_unique

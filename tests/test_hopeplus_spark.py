@@ -1,10 +1,10 @@
 """Distributed HOPE+ (Algorithms 2-3) end-to-end, VCMI invariants, and
 agreement with the numpy reference."""
-from importlib import import_module
-
 import numpy as np
 import pytest
 
+import repro.core.hope as hope_mod
+import repro.core.hopeplus as hopeplus_mod
 from repro.core.hope import hashed_sample, hop_embedding, hope
 from repro.core.hopeplus import _rounding_step, hopeplus, truncated_svd_of_skinny
 from repro.core.reference import build_pq, hopeplus_ref
@@ -77,8 +77,7 @@ class TestHopePlusEndToEnd:
         # A budget of 12 x 50 doubles: stages 1 and 2 see 50 of the 200
         # rows of X (beta = 12), and the final pass labels every u.
         ds, edges = planted
-        monkeypatch.setattr(import_module("repro.core.hope"),
-                            "SAMPLE_DOUBLES", 12 * 50)
+        monkeypatch.setattr(hope_mod, "SAMPLE_DOUBLES", 12 * 50)
         shapes = []
 
         def spy(*args, **kwargs):
@@ -86,8 +85,7 @@ class TestHopePlusEndToEnd:
             shapes.append(xs.shape)
             return xs
 
-        monkeypatch.setattr(import_module("repro.core.hopeplus"),
-                            "hashed_sample", spy)
+        monkeypatch.setattr(hopeplus_mod, "hashed_sample", spy)
         assign = hopeplus(edges, ds.k, beta=12, urt=urt, seed=1)
         assert shapes == [(50, 12)]
         pdf = assign.toPandas()

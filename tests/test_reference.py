@@ -147,6 +147,21 @@ class TestReferenceClustering:
         lab = hopeplus_ref(P, Q, ds.k, urt=urt, seed=0)
         assert accuracy(ds.labels_u, lab) > 0.9
 
+    @pytest.mark.parametrize("method", [hope_ref, hopeplus_ref])
+    def test_k_above_embedding_rank_raises(self, method):
+        # The numpy twin of the Spark tests: 20 U vertices cannot make 25
+        # clusters, nor can 12 V vertices make 13 (Q, |V| x |U|, has rank
+        # at most 12), and the SVD pads no zero singular value to hide it.
+        for n_u, n_v, n_edges, k in ((20, 15, 120, 25), (200, 12, 800, 13)):
+            ds = bipartite_sbm(n_u=n_u, n_v=n_v, n_edges=n_edges, k=2,
+                               noise=0.1, seed=4)
+            P, Q = build_pq(ds.edges["u"].to_numpy(),
+                            ds.edges["v"].to_numpy(),
+                            ds.edges["w"].to_numpy(), ds.n_u, ds.n_v)
+            with pytest.raises(ValueError, match=rf"k={k} exceeds the "
+                                                 r"embedding rank \d+"):
+                method(P, Q, k, seed=1)
+
     def test_isolated_vertices_tolerated(self):
         # u=5..9 isolated (no edges).
         ds = bipartite_sbm(n_u=30, n_v=20, n_edges=200, k=2, seed=1)

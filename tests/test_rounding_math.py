@@ -2,13 +2,13 @@
 stage-1 Gram trick against numpy's SVD, and of the behaviour of
 Algorithm 3 as ``core.hopeplus.rounding`` runs it for Spark and the
 reference alike."""
-from importlib import import_module
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.hopeplus as hp
+from repro.core import reference
 from repro.core.hopeplus import fnem_update, rounding, snem_update, stage1
 
 
@@ -140,6 +140,19 @@ class TestRoundingBehaviour:
     CYCLE_L = np.array([[1, .25], [.5, 1], [-.25, .75], [.75, 1], [.25, 1],
                         [-.5, -.25], [.25, .25], [1, .5]])
 
+    def test_unknown_urt_refused(self, monkeypatch):
+        # 'FNEM' is not 'fnem': rounding refuses it instead of running
+        # SNEM, and hopeplus_ref refuses it before its SVD.
+        with pytest.raises(ValueError, match="urt"):
+            rounding(self.CYCLE_L, 2, urt="FNEM", t_max=100)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("the SVD ran")
+
+        monkeypatch.setattr(reference, "svd_left", no_svd)
+        with pytest.raises(ValueError, match="urt"):
+            reference.hopeplus_ref(None, None, 2, urt="FNEM")
+
     @pytest.mark.parametrize("urt, calls, labels", [
         ("snem", 3, [0, 1, 1, 1, 1, 1, 0, 0]),
         ("fnem", 2, [0, 1, 1, 1, 1, 1, 0, 0]),
@@ -149,8 +162,6 @@ class TestRoundingBehaviour:
         # repeats the first one's statistics and stops the loop, with T of
         # the labeling the cycle started from.  FNEM reaches a fixed point,
         # which the second step's repeat of the first detects.
-        # The module, not the ``hopeplus`` function ``repro.core`` exports.
-        hp = import_module("repro.core.hopeplus")
         step, seen = hp._rounding_step, []
 
         def counted(l, t):
