@@ -36,59 +36,71 @@ def _f(x):
 
 
 class _State:
-    """Mutable block-membership state with O(k²) sufficient statistics."""
+    """Mutable block-membership state with O(k²) sufficient statistics.
+
+    Everything per vertex is indexed by side, 0 for U and 1 for V: ``g``
+    (block of each vertex), ``kappa`` (block degree sums), ``deg``, and
+    the CSR-style incidence lists ``order`` / ``ptr``.  ``m`` is the
+    U-block x V-block edge weight, which side 1 sees as ``m.T``."""
 
     def __init__(self, ds: BipartiteDataset, k: int, rng: np.random.Generator):
         e = ds.edges
         self.k = k
-        self.u = e["u"].to_numpy()
-        self.v = e["v"].to_numpy()
+        #: the endpoint of every edge on each side
+        self.ends = (e["u"].to_numpy(), e["v"].to_numpy())
         self.w = e["w"].to_numpy().astype(np.float64)
-        self.n_u, self.n_v = ds.n_u, ds.n_v
-        self.deg_u = np.bincount(self.u, weights=self.w, minlength=self.n_u)
-        self.deg_v = np.bincount(self.v, weights=self.w, minlength=self.n_v)
-        self.gu = rng.integers(0, k, self.n_u)
-        self.gv = rng.integers(0, k, self.n_v)
-        # incidence lists: for each u, the slice of its edges (CSR-style)
-        self.u_order = np.argsort(self.u, kind="stable")
-        self.u_ptr = np.searchsorted(self.u[self.u_order], np.arange(self.n_u + 1))
-        self.v_order = np.argsort(self.v, kind="stable")
-        self.v_ptr = np.searchsorted(self.v[self.v_order], np.arange(self.n_v + 1))
+        self.n = (ds.n_u, ds.n_v)
+        self.deg = [np.bincount(x, weights=self.w, minlength=n)
+                    for x, n in zip(self.ends, self.n)]
+        self.g = [rng.integers(0, k, n) for n in self.n]
+        # incidence lists: for each vertex, the slice of its edges
+        self.order = [np.argsort(x, kind="stable") for x in self.ends]
+        self.ptr = [np.searchsorted(x[o], np.arange(n + 1))
+                    for x, o, n in zip(self.ends, self.order, self.n)]
         self._rebuild()
 
     def _rebuild(self):
         self.m = np.zeros((self.k, self.k))
-        np.add.at(self.m, (self.gu[self.u], self.gv[self.v]), self.w)
-        self.ku = np.bincount(self.gu, weights=self.deg_u, minlength=self.k)
-        self.kv = np.bincount(self.gv, weights=self.deg_v, minlength=self.k)
+        np.add.at(self.m, (self.g[0][self.ends[0]], self.g[1][self.ends[1]]),
+                  self.w)
+        self.kappa = [np.bincount(g, weights=d, minlength=self.k)
+                      for g, d in zip(self.g, self.deg)]
 
     def loglik(self) -> float:
-        return float(_f(self.m).sum() - _f(self.ku).sum() - _f(self.kv).sum())
+        return float(_f(self.m).sum() - _f(self.kappa[0]).sum()
+                     - _f(self.kappa[1]).sum())
+
+    def _blocks(self, side: int) -> np.ndarray:
+        """m with this side's blocks as rows (a view)."""
+        return self.m if side == 0 else self.m.T
 
     # -- move evaluation ----------------------------------------------------
-    def _edge_profile_u(self, i: int) -> np.ndarray:
-        """e[s] = weight from u_i to V-block s."""
-        sl = self.u_order[self.u_ptr[i]:self.u_ptr[i + 1]]
-        return np.bincount(self.gv[self.v[sl]], weights=self.w[sl],
-                           minlength=self.k)
+    def _edge_profile(self, side: int, i: int) -> np.ndarray:
+        """e[s] = weight from vertex i of ``side`` to block s of the
+        other side."""
+        sl = self.order[side][self.ptr[side][i]:self.ptr[side][i + 1]]
+        other = 1 - side
+        return np.bincount(self.g[other][self.ends[other][sl]],
+                           weights=self.w[sl], minlength=self.k)
 
-    def _edge_profile_v(self, j: int) -> np.ndarray:
-        sl = self.v_order[self.v_ptr[j]:self.v_ptr[j + 1]]
-        return np.bincount(self.gu[self.u[sl]], weights=self.w[sl],
-                           minlength=self.k)
+    def delta(self, side: int, i: int) -> np.ndarray:
+        """ΔL of moving vertex i of ``side`` from its block r to every
+        candidate block (0 at r).
 
-    @staticmethod
-    def _delta_generic(m_rows: np.ndarray, kappa: np.ndarray, r: int,
-                       d: float, e: np.ndarray, k: int) -> np.ndarray:
-        """ΔL of moving a vertex with degree ``d`` and block-edge profile
-        ``e`` from block ``r`` to every candidate block (0 at ``r``).
-
+        With d its degree and e its edge profile,
         Δ(Σ f(m))   = Σ_s [f(m_{r,s}−e_s) − f(m_{r,s})]
                     + Σ_s [f(m_{r',s}+e_s) − f(m_{r',s})]      (r' ≠ r)
         Δ(−Σ f(κ))  = −[f(κ_r−d) − f(κ_r)] − [f(κ_{r'}+d) − f(κ_{r'})]
         Rows r and r' are disjoint for r' ≠ r so the two row updates
-        commute and can be evaluated independently.
+        commute and can be evaluated independently.  The row sums run
+        over a C-contiguous ``m`` (a copy for side 1), so both sides sum
+        in the same order.
         """
+        m_rows = np.ascontiguousarray(self._blocks(side))
+        kappa = self.kappa[side]
+        r = int(self.g[side][i])
+        d = float(self.deg[side][i])
+        e = self._edge_profile(side, i)
         base_r = (_f(m_rows[r] - e) - _f(m_rows[r])).sum()
         gain = (_f(m_rows + e[None, :]) - _f(m_rows)).sum(axis=1)
         f_kr = _f(np.array([kappa[r], kappa[r] - d]))
@@ -97,58 +109,30 @@ class _State:
         out[r] = 0.0
         return out
 
-    def delta_u(self, i: int) -> np.ndarray:
-        """ΔL of moving u_i to each candidate U-block (0 at its block)."""
-        return self._delta_generic(self.m, self.ku, int(self.gu[i]),
-                                   float(self.deg_u[i]),
-                                   self._edge_profile_u(i), self.k)
-
-    def delta_v(self, j: int) -> np.ndarray:
-        """ΔL of moving v_j to each candidate V-block (0 at its block)."""
-        return self._delta_generic(self.m.T.copy(), self.kv, int(self.gv[j]),
-                                   float(self.deg_v[j]),
-                                   self._edge_profile_v(j), self.k)
-
-    def move_u(self, i: int, r_new: int):
-        r = self.gu[i]
+    def move(self, side: int, i: int, r_new: int):
+        r = self.g[side][i]
         if r == r_new:
             return
-        e = self._edge_profile_u(i)
-        d = self.deg_u[i]
-        self.m[r] -= e
-        self.m[r_new] += e
-        self.ku[r] -= d
-        self.ku[r_new] += d
-        self.gu[i] = r_new
-
-    def move_v(self, j: int, r_new: int):
-        r = self.gv[j]
-        if r == r_new:
-            return
-        e = self._edge_profile_v(j)
-        d = self.deg_v[j]
-        self.m[:, r] -= e
-        self.m[:, r_new] += e
-        self.kv[r] -= d
-        self.kv[r_new] += d
-        self.gv[j] = r_new
+        e = self._edge_profile(side, i)
+        d = self.deg[side][i]
+        m_rows = self._blocks(side)
+        m_rows[r] -= e
+        m_rows[r_new] += e
+        self.kappa[side][r] -= d
+        self.kappa[side][r_new] += d
+        self.g[side][i] = r_new
 
 
 def _greedy_sweeps(st: _State, rng: np.random.Generator, max_sweeps: int) -> None:
     for _ in range(max_sweeps):
         moved = 0
-        for i in rng.permutation(st.n_u):
-            delta = st.delta_u(i)
-            b = int(delta.argmax())
-            if delta[b] > 1e-9:
-                st.move_u(i, b)
-                moved += 1
-        for j in rng.permutation(st.n_v):
-            delta = st.delta_v(j)
-            b = int(delta.argmax())
-            if delta[b] > 1e-9:
-                st.move_v(j, b)
-                moved += 1
+        for side in (0, 1):
+            for i in rng.permutation(st.n[side]):
+                delta = st.delta(side, i)
+                b = int(delta.argmax())
+                if delta[b] > 1e-9:
+                    st.move(side, i, b)
+                    moved += 1
         if moved == 0:
             break
 
@@ -158,7 +142,7 @@ def bisbm_kl_baseline(ds: BipartiteDataset, k: int, *, seed: int = 0,
     rng = np.random.default_rng(seed)
     st = _State(ds, k, rng)
     _greedy_sweeps(st, rng, max_sweeps)
-    return st.gu.copy()
+    return st.g[0].copy()
 
 
 def bisbm_mcmc_baseline(ds: BipartiteDataset, k: int, *, seed: int = 0,
@@ -168,15 +152,11 @@ def bisbm_mcmc_baseline(ds: BipartiteDataset, k: int, *, seed: int = 0,
     st = _State(ds, k, rng)
     temps = np.geomspace(t_start, t_end, n_sweeps)
     for temp in temps:
-        for i in rng.permutation(st.n_u):
-            cand = int(rng.integers(k))
-            delta = st.delta_u(i)[cand]
-            if delta > 0 or rng.random() < np.exp(delta / temp):
-                st.move_u(i, cand)
-        for j in rng.permutation(st.n_v):
-            cand = int(rng.integers(k))
-            delta = st.delta_v(j)[cand]
-            if delta > 0 or rng.random() < np.exp(delta / temp):
-                st.move_v(j, cand)
+        for side in (0, 1):
+            for i in rng.permutation(st.n[side]):
+                cand = int(rng.integers(k))
+                delta = st.delta(side, i)[cand]
+                if delta > 0 or rng.random() < np.exp(delta / temp):
+                    st.move(side, i, cand)
     _greedy_sweeps(st, rng, 5)  # zero-temperature polish (MAP estimate)
-    return st.gu.copy()
+    return st.g[0].copy()

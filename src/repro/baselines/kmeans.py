@@ -3,7 +3,8 @@ bi-adjacency matrix (each u is a |V|-dimensional sparse feature vector).
 
 Distances use the expansion ||x - c||² = ||x||² - 2 x·c + ||c||², so the
 sparse matrix is only ever multiplied against the k dense centroids —
-O(|E|·k) per iteration, never densified.
+O(|E|·k) per iteration, never densified.  A cluster that empties keeps
+the origin as its centroid.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ def kmeans_baseline(ds: BipartiteDataset, k: int, *, seed: int = 0,
     rng = np.random.default_rng(seed)
     x_sq = np.bincount(a.rows, weights=a.data ** 2, minlength=n)
 
-    # k-means++-ish seeding on the sparse rows: greedy farthest rows.
+    # Start from a uniform random partition, not from k-means++ seeds.
     labels = rng.integers(0, k, n)
     C = cluster_sums(a, labels, k)
     counts = np.bincount(labels, minlength=k).astype(np.float64)
@@ -34,10 +35,5 @@ def kmeans_baseline(ds: BipartiteDataset, k: int, *, seed: int = 0,
         labels = new_labels
         C = cluster_sums(a, labels, k)
         counts = np.bincount(labels, minlength=k).astype(np.float64)
-        empty = counts == 0
         C /= np.maximum(counts, 1.0)[:, None]
-        if empty.any():  # re-seed empty clusters at far points
-            far = d.min(axis=1).argsort()[::-1]
-            for j, idx in zip(np.nonzero(empty)[0], far):
-                labels[idx] = j
     return labels

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..sparsela import SparseCOO, lloyd, svd_left
+from ..sparsela import SparseCOO, degree_normalize, lloyd, svd_left
 from .hope import check_rank
 from .hopeplus import rounding, stage1, update_rule
 
@@ -23,16 +23,12 @@ from .hopeplus import rounding, stage1, update_rule
 def build_pq(edges_u: np.ndarray, edges_v: np.ndarray, edges_w: np.ndarray,
              n_u: int, n_v: int) -> tuple[SparseCOO, SparseCOO]:
     """(P, Q) from an edge list.  P is |U| x |V| with p(u,v) = w/deg(u);
-    Q is |V| x |U| with Q_{v,u} = w / sqrt(deg(u) deg(v))."""
+    Q is |V| x |U| with Q_{v,u} = w / sqrt(deg(u) deg(v)), the transpose
+    of the spectral baselines' A_n."""
     A = SparseCOO.from_edges(edges_u, edges_v, edges_w, n_u, n_v)
     deg_u = A.row_sums()
-    deg_v = A.col_sums()
-    inv_u = np.where(deg_u > 0, 1.0 / np.maximum(deg_u, 1e-300), 0.0)
-    P = A.scale_rows(inv_u)
-    inv_sq = np.where(deg_u > 0, 1.0 / np.sqrt(np.maximum(deg_u, 1e-300)), 0.0)
-    inv_sv = np.where(deg_v > 0, 1.0 / np.sqrt(np.maximum(deg_v, 1e-300)), 0.0)
-    Q = A.T.scale_rows(inv_sv).scale_cols(inv_sq)
-    return P, Q
+    P = A.scale_rows(np.where(deg_u > 0, 1.0 / np.maximum(deg_u, 1e-300), 0.0))
+    return P, degree_normalize(A)[0].T
 
 
 def exact_hop_matrix(P: SparseCOO, Q: SparseCOO, alpha: float) -> np.ndarray:

@@ -94,10 +94,6 @@ class SparseCOO:
         return SparseCOO(self.rows, self.cols,
                          self.data * np.asarray(s)[self.cols], self.shape)
 
-    def scale_data(self, f) -> "SparseCOO":
-        """Apply an elementwise function to the stored values."""
-        return SparseCOO(self.rows, self.cols, f(self.data), self.shape)
-
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.shape)
         np.add.at(out, (self.rows, self.cols), self.data)
@@ -108,3 +104,14 @@ class SparseCOO:
         sq = np.bincount(self.rows, weights=self.data ** 2,
                          minlength=self.shape[0])
         return np.sqrt(sq)
+
+
+def degree_normalize(a: SparseCOO) -> tuple[SparseCOO, np.ndarray, np.ndarray]:
+    """A_n = D_rows^{-1/2} A D_cols^{-1/2} and the two scalings
+    D_rows^{-1/2}, D_cols^{-1/2}, which are 0 for an empty row or column.
+
+    On a bi-adjacency A this is the matrix whose SVD the spectral
+    baselines share, and its transpose is the reference's Q."""
+    su, sv = (np.where(d > 0, 1.0 / np.sqrt(np.maximum(d, 1e-300)), 0.0)
+              for d in (a.row_sums(), a.col_sums()))
+    return a.scale_rows(su).scale_cols(sv), su, sv

@@ -1,9 +1,9 @@
 """Randomized subspace iteration and Rayleigh–Ritz, numpy only.
 
 Halko–Martinsson–Tropp subspace iteration (SIAM Review 2011, Alg. 4.4).
-``subspace_eigh`` is the one numpy loop: the spectral baselines (SC, LE)
-run it on a symmetric operator, and ``svd_left`` runs it on A Aᵀ for the
-reference HOP embedding, SBC and SCC.  That is the iteration of the
+``subspace_eigh`` is the one numpy loop: LE runs it on a symmetric
+operator, and ``svd_left`` runs it on A Aᵀ for the reference HOP
+embedding, SC, SBC and SCC.  That is the iteration of the
 distributed ``linalg.svd_topk`` (Q <- orth(A Aᵀ Q), then Rayleigh–Ritz),
 with a numpy start block in place of the hashed one.  ``ritz`` is the one
 Rayleigh–Ritz step, which ``svd_topk`` and HOPE+'s stage 1 share.

@@ -75,8 +75,9 @@ def evaluate_dataset(spark: SparkSession | None, name: str, *,
                      beta_mult: int = 5, verbose: bool = True
                      ) -> dict[str, dict]:
     """All requested methods on one dataset.  Returns
-    {method: {"acc":…, "f1":…, "nmi":…, "ari":…, "time": seconds}} with
-    metric values averaged over ``n_runs`` differently-seeded runs."""
+    {method: {"acc":…, "f1":…, "nmi":…, "ari":…, "time": seconds,
+    "acc_sd":…, …}}: each metric's mean and standard deviation (``np.std``)
+    over ``n_runs`` differently-seeded runs."""
     ds = make_dataset(name, seed=seed, size_factor=size_factor)
     if methods is None:
         methods = [m for m in BASELINES if m not in EXCLUDED.get(name, set())]
@@ -102,11 +103,14 @@ def evaluate_dataset(spark: SparkSession | None, name: str, *,
         except Exception as exc:  # record failures as dashes, keep going
             if verbose:
                 print(f"  !! {m} failed on {name}: {exc}")
-            results[m] = {"time": float("nan"), **{k: None for k in METRICS}}
+            results[m] = {"time": float("nan"),
+                          **{k: None for k in METRICS},
+                          **{f"{k}_sd": None for k in METRICS}}
             continue
         elapsed = (time.time() - t0) / max(n_runs, 1)
         results[m] = {"time": elapsed,
-                      **{k: float(np.mean(vals[k])) for k in METRICS}}
+                      **{k: float(np.mean(vals[k])) for k in METRICS},
+                      **{f"{k}_sd": float(np.std(vals[k])) for k in METRICS}}
         if verbose:
             r = results[m]
             print(f"  {m:<14s} acc={r['acc']:.3f} f1={r['f1']:.3f} "

@@ -17,57 +17,45 @@ def state():
 
 
 class TestDeltaFormula:
-    def test_delta_u_matches_brute_force(self, state):
-        ds, st = state
+    @pytest.mark.parametrize("side, step", [(0, 7), (1, 5)], ids=["u", "v"])
+    def test_delta_matches_brute_force(self, state, side, step):
+        _, st = state
         base = st.loglik()
-        for i in range(0, ds.n_u, 7):
-            delta = st.delta_u(i)
-            r_old = st.gu[i]
+        for i in range(0, st.n[side], step):
+            delta = st.delta(side, i)
+            r_old = st.g[side][i]
             for r_new in range(st.k):
-                st.move_u(i, r_new)
+                st.move(side, i, r_new)
                 got = st.loglik() - base
-                st.move_u(i, r_old)
-                assert delta[r_new] == pytest.approx(got, abs=1e-8)
-
-    def test_delta_v_matches_brute_force(self, state):
-        ds, st = state
-        base = st.loglik()
-        for j in range(0, ds.n_v, 5):
-            delta = st.delta_v(j)
-            r_old = st.gv[j]
-            for r_new in range(st.k):
-                st.move_v(j, r_new)
-                got = st.loglik() - base
-                st.move_v(j, r_old)
+                st.move(side, i, r_old)
                 assert delta[r_new] == pytest.approx(got, abs=1e-8)
 
     def test_delta_zero_at_current_block(self, state):
         _, st = state
-        assert st.delta_u(0)[st.gu[0]] == 0.0
-        assert st.delta_v(0)[st.gv[0]] == 0.0
+        for side in (0, 1):
+            assert st.delta(side, 0)[st.g[side][0]] == 0.0
 
 
 class TestMoveConsistency:
     def test_stats_match_rebuild_after_moves(self, state):
-        ds, st = state
+        _, st = state
         rng = np.random.default_rng(1)
         for _ in range(50):
-            if rng.random() < 0.5:
-                st.move_u(int(rng.integers(ds.n_u)), int(rng.integers(st.k)))
-            else:
-                st.move_v(int(rng.integers(ds.n_v)), int(rng.integers(st.k)))
-        m, ku, kv = st.m.copy(), st.ku.copy(), st.kv.copy()
+            side = int(rng.random() >= 0.5)
+            st.move(side, int(rng.integers(st.n[side])),
+                    int(rng.integers(st.k)))
+        m, ku, kv = st.m.copy(), st.kappa[0].copy(), st.kappa[1].copy()
         st._rebuild()
         np.testing.assert_allclose(m, st.m, atol=1e-9)
-        np.testing.assert_allclose(ku, st.ku, atol=1e-9)
-        np.testing.assert_allclose(kv, st.kv, atol=1e-9)
+        np.testing.assert_allclose(ku, st.kappa[0], atol=1e-9)
+        np.testing.assert_allclose(kv, st.kappa[1], atol=1e-9)
 
     def test_block_mass_conserved(self, state):
         _, st = state
         total = st.m.sum()
-        st.move_u(0, (st.gu[0] + 1) % st.k)
+        st.move(0, 0, (st.g[0][0] + 1) % st.k)
         assert st.m.sum() == pytest.approx(total)
-        assert st.ku.sum() == pytest.approx(st.deg_u.sum())
+        assert st.kappa[0].sum() == pytest.approx(st.deg[0].sum())
 
 
 class TestLikelihoodAscent:

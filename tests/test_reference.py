@@ -12,7 +12,8 @@ from repro.core.reference import (
     hopeplus_ref,
 )
 from repro.metrics import accuracy
-from repro.synth_data import bipartite_sbm
+from repro.sparsela import SparseCOO, svd_left
+from repro.synth_data import bipartite_sbm, make_dataset
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +101,25 @@ class TestHopMatrix:
         H = exact_hop_matrix(P, Q, 0.3)
         X, _ = hop_embedding_ref(P, Q, 0.3, ds.n_v, seed=0, n_iter=15)
         np.testing.assert_allclose(X @ X.T, H @ H.T, atol=1e-5)
+
+
+class TestEmbeddingWithoutP:
+    def test_row_normalisation_cancels_p(self):
+        # P = D_U^{-1} A scales each row of A, and X's row normalisation
+        # undoes it: X = rownorm(A U_Q Λ) with the raw weights, so the
+        # embedding never needs P, only Q's SVD.
+        ds = make_dataset("CORA", seed=0, size_factor=0.3)
+        u, v, w = (ds.edges[c].to_numpy() for c in ("u", "v", "w"))
+        P, Q = build_pq(u, v, w, ds.n_u, ds.n_v)
+        alpha, beta = 0.3, 5 * ds.k
+        X, s = hop_embedding_ref(P, Q, alpha, beta, seed=0)
+        U, s_again = svd_left(Q, beta, n_iter=8, seed=0)
+        np.testing.assert_array_equal(s, s_again)
+        lam = (1 - alpha) / (1 - alpha * np.minimum(s, 1.0) ** 2)
+        Y = SparseCOO.from_edges(u, v, w, ds.n_u, ds.n_v).matmat(
+            U * lam[None, :])
+        Y /= np.maximum(np.linalg.norm(Y, axis=1, keepdims=True), 1e-300)
+        np.testing.assert_allclose(Y, X, rtol=0, atol=1e-14)
 
 
 class TestFigure5ApproxError:

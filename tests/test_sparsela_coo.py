@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sparsela import SparseCOO
+from repro.sparsela import SparseCOO, degree_normalize
 
 
 def random_sparse(rng, n, m, nnz):
@@ -91,9 +91,18 @@ class TestScalingAndSums:
         np.testing.assert_allclose(a.scale_cols(s).to_dense(),
                                    a.to_dense() @ np.diag(s), atol=1e-12)
 
-    def test_scale_data(self):
-        a = SparseCOO.from_edges([0], [0], [4.0], 1, 1)
-        assert a.scale_data(np.sqrt).to_dense()[0, 0] == 2.0
+    def test_degree_normalize(self):
+        # Row 2 and column 3 are empty: their scalings are 0, not inf.
+        a = SparseCOO.from_edges([0, 0, 1, 3], [0, 1, 1, 2],
+                                 [4.0, 1.0, 2.0, 9.0], 4, 4)
+        an, su, sv = degree_normalize(a)
+        d = a.to_dense()
+        rs, cs = d.sum(axis=1), d.sum(axis=0)
+        np.testing.assert_allclose(su, [5 ** -0.5, 2 ** -0.5, 0, 1 / 3])
+        np.testing.assert_allclose(sv, [0.5, 3 ** -0.5, 1 / 3, 0])
+        np.testing.assert_allclose(
+            an.to_dense(), d / np.sqrt(np.outer(rs, cs) + (d == 0)),
+            atol=1e-15)
 
     def test_row_norms(self):
         rng = np.random.default_rng(7)

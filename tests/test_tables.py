@@ -11,6 +11,8 @@ from repro.tables import (
     render_table,
     run_our_method,
 )
+from repro.baselines import BASELINES
+from repro.metrics import all_metrics
 from repro.synth_data import SMALL_DATASETS, TABLE2_SPECS, make_dataset
 
 
@@ -39,6 +41,20 @@ class TestEvaluateDataset:
             for metric in METRICS:
                 assert 0.0 <= m[metric] <= 1.0 or metric == "ari"
             assert m["time"] >= 0.0
+
+    def test_records_spread_over_runs(self):
+        res = evaluate_dataset(None, "CORA", methods=["NMF", "SBC"],
+                               seed=0, n_runs=2, size_factor=0.02,
+                               verbose=False)
+        ds = make_dataset("CORA", seed=0, size_factor=0.02)
+        for m, r in res.items():
+            fn = BASELINES[m][0]
+            runs = [all_metrics(ds.labels_u, fn(ds, ds.k, seed=s))
+                    for s in (0, 1)]
+            for metric in METRICS:
+                got = [x[metric] for x in runs]
+                assert r[metric] == pytest.approx(np.mean(got))
+                assert r[f"{metric}_sd"] == pytest.approx(np.std(got))
 
     def test_our_methods_tiny(self, spark):
         res = evaluate_dataset(spark, "CORA", methods=["HOPE+ (SNEM)"],
